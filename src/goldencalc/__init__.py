@@ -14,6 +14,7 @@ from .bernoulli import (
     bf_polynomial,
     bf_polynomial_genfunc,
     classical_bernoulli_numbers,
+    classical_bernoulli_numbers_recursive,
     classical_bernoulli_polynomial,
     h_polynomial_explicit,
     h_polynomial_sum,
@@ -27,6 +28,7 @@ from .fibonacci import (
     fibonomial_rec_a,
     fibonomial_rec_b,
     fibonomial_row,
+    golden_power_ladders,
 )
 from .golden import PHI, PHI_CONJUGATE, SQRT5, ExactnessError, GoldenNumber
 from .polynomials import (
@@ -70,6 +72,7 @@ __all__ = [
     "bf_polynomial_genfunc",
     "binet",
     "classical_bernoulli_numbers",
+    "classical_bernoulli_numbers_recursive",
     "classical_bernoulli_polynomial",
     "core_property_reports",
     "fib",
@@ -84,6 +87,7 @@ __all__ = [
     "golden_derivative_dilatation",
     "golden_exponential",
     "golden_exponential_in_x",
+    "golden_power_ladders",
     "h_polynomial_explicit",
     "h_polynomial_sum",
     "parse_rational",

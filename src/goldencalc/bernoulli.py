@@ -9,19 +9,21 @@ term is 1, so nothing ever divides by z in the series ring.
 Three independent routes are provided for the Fibonacci family: series
 inversion for the numbers, the Fibonomial-sum recursion for the numbers,
 and the generating-function extraction for the polynomials.  They are
-cross-checked in :mod:`goldencalc.verify`.
+cross-checked in :mod:`goldencalc.verify`, which draws all of them from one
+:class:`BernoulliFibTable` per degree.  The recursive routes never touch a
+series, and the generating-function route never reads a number.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .fibonacci import FibTable
 from .polynomials import Polynomial
-from .series import TruncatedSeries, golden_exponential_in_x
+from .series import TruncatedSeries
 
 
 def _inverse_shifted_exponential(order: int, factorial: Callable[[int], int]) -> TruncatedSeries:
@@ -32,13 +34,20 @@ def _inverse_shifted_exponential(order: int, factorial: Callable[[int], int]) ->
     return shifted.inverse()
 
 
+def _numbers_from_reciprocal(
+    reciprocal: TruncatedSeries, factorial: Callable[[int], int]
+) -> list[Fraction]:
+    # The z^n coefficient of z/(E(z) - 1) is b_n/factorial(n).
+    return [c * factorial(n) for n, c in enumerate(reciprocal.coeffs)]
+
+
 def bf_numbers_series(max_n: int) -> list[Fraction]:
     """b^F_0..b^F_max_n read off the inverse of (e_F(z) - 1)/z."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     table = FibTable(max_n + 1)
-    inv = _inverse_shifted_exponential(max_n, table.factorial)
-    return [inv.coefficient(n) * table.factorial(n) for n in range(max_n + 1)]
+    reciprocal = _inverse_shifted_exponential(max_n, table.factorial)
+    return _numbers_from_reciprocal(reciprocal, table.factorial)
 
 
 def bf_numbers_recursive(max_n: int) -> list[Fraction]:
@@ -75,17 +84,34 @@ def bf_polynomial(
     return Polynomial(coeffs)
 
 
-def bf_polynomial_genfunc(n: int) -> Polynomial:
+def bf_polynomial_genfunc(
+    n: int,
+    reciprocal: TruncatedSeries | None = None,
+    table: FibTable | None = None,
+) -> Polynomial:
     """B^F_n(x) extracted from the z-expansion of z*e_F(zx)/(e_F(z) - 1).
 
+    Writing r_m for the z^m coefficient of the reciprocal z/(e_F(z) - 1),
+    the z^n coefficient of the product is the sum over k of
+    r_(n-k) x^k/F_k!, so only that one coefficient is formed:
+
+        B^F_n(x) = sum over k of (F_n!/F_k!) r_(n-k) x^k.
+
     Independent of :func:`bf_polynomial`: no Bernoulli-Fibonacci number is
-    computed along the way, only the two series factors at order n.
+    computed along the way.  A shared ``reciprocal`` (order >= n) and
+    ``table`` (limit >= n) may be passed in; otherwise both are built here.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    table = FibTable(n + 1)
-    product = golden_exponential_in_x(n) * _inverse_shifted_exponential(n, table.factorial)
-    return product.coefficient(n) * table.factorial(n)
+    if reciprocal is None or reciprocal.order < n:
+        table = FibTable(n + 1)
+        reciprocal = _inverse_shifted_exponential(n, table.factorial)
+    elif table is None or table.limit < n:
+        table = FibTable(n)
+    top = table.factorial(n)
+    return Polynomial(
+        top // table.factorial(k) * reciprocal.coefficient(n - k) for k in range(n + 1)
+    )
 
 
 def bf_eval(n: int, point: Fraction | int) -> Fraction:
@@ -93,29 +119,43 @@ def bf_eval(n: int, point: Fraction | int) -> Fraction:
     return Fraction(bf_polynomial(n)(Fraction(point)))
 
 
-def h_polynomial_sum(n: int) -> Polynomial:
+def h_polynomial_sum(
+    n: int,
+    polynomials: Sequence[Polynomial] | None = None,
+    table: FibTable | None = None,
+) -> Polynomial:
     """H_n(x) as the weighted sum of lower polynomials:
 
         H_n(x) = sum over k of [n, k] B^F_(n-k)(x),
 
-    equal to B^F_n(x) + F_n x^(n-1).
+    equal to B^F_n(x) + F_n x^(n-1).  ``polynomials`` (B^F_0..B^F_m with
+    m >= n) and ``table`` may be shared; otherwise they are built here.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    table = FibTable(n)
-    numbers = bf_numbers_series(n)
+    if table is None or table.limit < n:
+        table = FibTable(n)
+    if polynomials is None:
+        numbers = bf_numbers_series(n)
+        polynomials = [bf_polynomial(m, numbers, table) for m in range(n + 1)]
     acc = Polynomial()
     for k in range(n + 1):
-        acc = acc + bf_polynomial(n - k, numbers, table) * table.fibonomial(n, k)
+        acc = acc + polynomials[n - k] * table.fibonomial(n, k)
     return acc
 
 
-def h_polynomial_explicit(n: int) -> Polynomial:
+def h_polynomial_explicit(
+    n: int,
+    numbers: Sequence[Fraction] | None = None,
+    table: FibTable | None = None,
+) -> Polynomial:
     """H_n(x) in closed form: x^n + sum over j >= 2 of [n, j] b^F_j x^(n-j)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    table = FibTable(n)
-    numbers = bf_numbers_series(n)
+    if table is None or table.limit < n:
+        table = FibTable(n)
+    if numbers is None:
+        numbers = bf_numbers_series(n)
     coeffs: list = [0] * (n + 1)
     coeffs[n] = Fraction(1)
     for j in range(2, n + 1):
@@ -127,8 +167,23 @@ def classical_bernoulli_numbers(max_n: int) -> list[Fraction]:
     """b_0..b_max_n of the ordinary Bernoulli family (b_1 = -1/2)."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    inv = _inverse_shifted_exponential(max_n, math.factorial)
-    return [inv.coefficient(n) * math.factorial(n) for n in range(max_n + 1)]
+    reciprocal = _inverse_shifted_exponential(max_n, math.factorial)
+    return _numbers_from_reciprocal(reciprocal, math.factorial)
+
+
+def classical_bernoulli_numbers_recursive(max_n: int) -> list[Fraction]:
+    """b_0..b_max_n from the binomial sum rule, without any series.
+
+    b_0 = 1; for n >= 1 the sum of C(n+1, j) b_j over j <= n vanishes,
+    which pins down b_n once the earlier values are known.
+    """
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    numbers: list[Fraction] = [Fraction(1)]
+    for n in range(1, max_n + 1):
+        acc = sum(math.comb(n + 1, j) * numbers[j] for j in range(n))
+        numbers.append(-acc / (n + 1))
+    return numbers
 
 
 def classical_bernoulli_polynomial(
@@ -147,20 +202,47 @@ def classical_bernoulli_polynomial(
 
 @dataclass(frozen=True)
 class BernoulliFibTable:
-    """Numbers b^F_0..b^F_max_n and polynomials B^F_0..B^F_max_n, built once."""
+    """Everything one degree shares, built once, for indices 0..max_n.
+
+    ``numbers`` are read off ``reciprocal``, the inverse of
+    (e_F(z) - 1)/z; ``recursive_numbers`` come from the Fibonomial sum rule
+    and never see a series.  ``polynomials`` B^F_0..B^F_max_n are built from
+    the numbers of the route named by ``method``.  The classical family is
+    kept alongside as the baseline.  ``table`` holds F_0..F_(max_n+1).
+    """
 
     max_n: int
     numbers: tuple[Fraction, ...]
     polynomials: tuple[Polynomial, ...]
+    recursive_numbers: tuple[Fraction, ...]
+    reciprocal: TruncatedSeries
+    classical_numbers: tuple[Fraction, ...]
+    classical_polynomials: tuple[Polynomial, ...]
+    table: FibTable = field(compare=False)
 
     @classmethod
     def build(cls, max_n: int, method: str = "series") -> BernoulliFibTable:
-        if method == "series":
-            numbers = bf_numbers_series(max_n)
-        elif method == "recursive":
-            numbers = bf_numbers_recursive(max_n)
-        else:
+        if method not in ("series", "recursive"):
             raise ValueError(f"unknown method: {method!r}")
-        table = FibTable(max_n)
-        polys = tuple(bf_polynomial(n, numbers, table) for n in range(max_n + 1))
-        return cls(max_n, tuple(numbers), polys)
+        if max_n < 0:
+            raise ValueError("max_n must be nonnegative")
+        table = FibTable(max_n + 1)
+        reciprocal = _inverse_shifted_exponential(max_n, table.factorial)
+        numbers = _numbers_from_reciprocal(reciprocal, table.factorial)
+        recursive = bf_numbers_recursive(max_n)
+        source = numbers if method == "series" else recursive
+        polys = tuple(bf_polynomial(n, source, table) for n in range(max_n + 1))
+        classical = classical_bernoulli_numbers(max_n)
+        classical_polys = tuple(
+            classical_bernoulli_polynomial(n, classical) for n in range(max_n + 1)
+        )
+        return cls(
+            max_n,
+            tuple(numbers),
+            polys,
+            tuple(recursive),
+            reciprocal,
+            tuple(classical),
+            classical_polys,
+            table,
+        )

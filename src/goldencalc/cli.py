@@ -23,6 +23,7 @@ from .bernoulli import (
     bf_numbers_series,
     bf_polynomial,
     classical_bernoulli_numbers,
+    classical_bernoulli_numbers_recursive,
     classical_bernoulli_polynomial,
 )
 from .fibonacci import fibonomial_row
@@ -37,13 +38,12 @@ DEFAULT_VERIFY_BOUND = 32
 def build_numbers_document(variant: str, max_n: int, method: str) -> OutputDocument:
     metadata = {"variant": variant, "max_n": max_n, "method": method}
     if variant == "classical":
-        series = classical_bernoulli_numbers(max_n)
-        recursive = series
+        series_route = classical_bernoulli_numbers
+        recursive_route = classical_bernoulli_numbers_recursive
     else:
-        series = bf_numbers_series(max_n) if method in ("series", "both") else None
-        recursive = (
-            bf_numbers_recursive(max_n) if method in ("recursive", "both") else None
-        )
+        series_route, recursive_route = bf_numbers_series, bf_numbers_recursive
+    series = series_route(max_n) if method in ("series", "both") else None
+    recursive = recursive_route(max_n) if method in ("recursive", "both") else None
     if method == "both":
         payload = [
             {

@@ -93,20 +93,56 @@ def binet(n: int) -> Fraction:
     return ((PHI**n - PHI_CONJUGATE**n) / SQRT5).to_rational()
 
 
-def fibonomial_rec_a(n: int, k: int) -> GoldenNumber:
-    """(-1/phi)^k [n-1, k] + phi^(n-k) [n-1, k-1], exactly in Q(sqrt5)."""
-    _require_inner(n, k)
-    table = FibTable(n - 1)
-    minus_inv_phi = -PHI.inverse()
-    return minus_inv_phi**k * table.fibonomial(n - 1, k) + PHI ** (n - k) * table.fibonomial(n - 1, k - 1)
+# (phi^0..phi^m, (-1/phi)^0..(-1/phi)^m)
+PowerLadders = tuple[tuple[GoldenNumber, ...], tuple[GoldenNumber, ...]]
 
 
-def fibonomial_rec_b(n: int, k: int) -> GoldenNumber:
-    """phi^k [n-1, k] + (-1/phi)^(n-k) [n-1, k-1], exactly in Q(sqrt5)."""
+def golden_power_ladders(m: int) -> PowerLadders:
+    """phi^0..phi^m and (-1/phi)^0..(-1/phi)^m, by repeated multiplication.
+
+    -1/phi is the conjugate phi' = (1 - sqrt5)/2.
+    """
+    _require_nonnegative(m)
+    phi_powers = [GoldenNumber(1)]
+    conjugate_powers = [GoldenNumber(1)]
+    for _ in range(m):
+        phi_powers.append(phi_powers[-1] * PHI)
+        conjugate_powers.append(conjugate_powers[-1] * PHI_CONJUGATE)
+    return tuple(phi_powers), tuple(conjugate_powers)
+
+
+def fibonomial_rec_a(
+    n: int, k: int, table: FibTable | None = None, ladders: PowerLadders | None = None
+) -> GoldenNumber:
+    """(-1/phi)^k [n-1, k] + phi^(n-k) [n-1, k-1], exactly in Q(sqrt5).
+
+    ``table`` (limit >= n-1) and ``ladders`` (from
+    :func:`golden_power_ladders` with m >= n-1) may be shared across calls.
+    """
+    table, (phi_powers, conjugate_powers) = _rec_inputs(n, k, table, ladders)
+    return conjugate_powers[k] * table.fibonomial(n - 1, k) + phi_powers[n - k] * table.fibonomial(n - 1, k - 1)
+
+
+def fibonomial_rec_b(
+    n: int, k: int, table: FibTable | None = None, ladders: PowerLadders | None = None
+) -> GoldenNumber:
+    """phi^k [n-1, k] + (-1/phi)^(n-k) [n-1, k-1], exactly in Q(sqrt5).
+
+    Takes the same optional ``table`` and ``ladders`` as :func:`fibonomial_rec_a`.
+    """
+    table, (phi_powers, conjugate_powers) = _rec_inputs(n, k, table, ladders)
+    return phi_powers[k] * table.fibonomial(n - 1, k) + conjugate_powers[n - k] * table.fibonomial(n - 1, k - 1)
+
+
+def _rec_inputs(
+    n: int, k: int, table: FibTable | None, ladders: PowerLadders | None
+) -> tuple[FibTable, PowerLadders]:
     _require_inner(n, k)
-    table = FibTable(n - 1)
-    minus_inv_phi = -PHI.inverse()
-    return PHI**k * table.fibonomial(n - 1, k) + minus_inv_phi ** (n - k) * table.fibonomial(n - 1, k - 1)
+    if table is None or table.limit < n - 1:
+        table = FibTable(n - 1)
+    if ladders is None or len(ladders[0]) < n:
+        ladders = golden_power_ladders(n - 1)
+    return table, ladders
 
 
 def _require_nonnegative(n: int) -> None:

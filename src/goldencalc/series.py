@@ -100,8 +100,11 @@ class TruncatedSeries:
     def inverse_newton(self) -> TruncatedSeries:
         """Reciprocal by Newton doubling: y <- y (2 - a y).
 
-        Same exact result as :meth:`inverse`; fewer big-number operations
-        at large orders, so it is the benchmark variant.
+        Same exact result as :meth:`inverse`, but slower at every order
+        measured on CPython 3.11 on a 2-core AMD EPYC (order 128: 0.35 s
+        against 0.23 s; order 256: 10.9 s against 7.4 s): the full
+        products it forms cost more than the recurrence saves.  Kept as a
+        second route to cross-check :meth:`inverse`.
         """
         c0 = self.coeffs[0]
         if c0 == 0:

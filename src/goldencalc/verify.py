@@ -1,14 +1,22 @@
 """Exhaustive identity verification with structured pass/fail reports.
 
-Each report covers one identity over a contiguous index range.  A failing
-report always carries the first counterexample (index plus both unequal
-values rendered as text), so a red run is reproducible by hand.
+Each report covers one identity over a contiguous index range.  Both sides
+of every check are compared as exact values; only the first counterexample
+is rendered as text (index plus both unequal values), so a red run is
+reproducible by hand and a green one never formats a huge number.
 
 ``verify_identities`` checks the Bernoulli layer; ``core_property_reports``
 checks the Fibonacci/Golden-calculus layer underneath it.  Index bounds
 scale off one degree parameter N: polynomial-level identities run to N,
 number-level identities to 2N, and the Binet cross-check to 8N, so the
 default N = 32 exercises degrees 32/64/256 respectively.
+
+Shared work is built once per degree.  The Bernoulli layer draws every
+identity from one :class:`~goldencalc.bernoulli.BernoulliFibTable` over
+0..2N: one Fibonacci table, one reciprocal of (e_F(z) - 1)/z, both number
+routes, B^F_0..B^F_2N and the classical baseline.  The core layer shares
+one Fibonacci table over 0..8N and the power ladders phi^0..phi^N and
+(-1/phi)^0..(-1/phi)^N across every Pascal-recursion check.
 """
 
 from __future__ import annotations
@@ -20,16 +28,19 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .bernoulli import (
-    bf_numbers_recursive,
-    bf_numbers_series,
-    bf_polynomial,
+    BernoulliFibTable,
+    bf_numbers_series,  # noqa: F401  (perfbench's tracer test patches it here)
     bf_polynomial_genfunc,
-    classical_bernoulli_numbers,
-    classical_bernoulli_polynomial,
     h_polynomial_explicit,
     h_polynomial_sum,
 )
-from .fibonacci import FibTable, binet, fibonomial_rec_a, fibonomial_rec_b
+from .fibonacci import (
+    FibTable,
+    binet,
+    fibonomial_rec_a,
+    fibonomial_rec_b,
+    golden_power_ladders,
+)
 from .golden import GoldenNumber
 from .polynomials import (
     Polynomial,
@@ -74,8 +85,14 @@ def _run(
         ok = lhs == rhs
         statuses.append(ok)
         if not ok and counterexample is None:
-            counterexample = Counterexample(index, str(lhs), str(rhs))
+            counterexample = Counterexample(index, _text(lhs), _text(rhs))
     return VerificationReport(identity, lo, hi, tuple(statuses), counterexample)
+
+
+def _text(value: object) -> str:
+    if isinstance(value, (int, Fraction)):
+        return format_rational(value)
+    return str(value)
 
 
 def verify_identities(max_degree: int) -> list[VerificationReport]:
@@ -88,52 +105,41 @@ def verify_identities(max_degree: int) -> list[VerificationReport]:
     n_poly = max_degree
     n_num = 2 * max_degree
 
-    fib_table = FibTable(n_num + 1)
-    series_numbers = bf_numbers_series(n_num)
-    recursive_numbers = bf_numbers_recursive(n_num)
-    polys = [bf_polynomial(n, series_numbers, fib_table) for n in range(n_poly + 1)]
-
-    classical_nums = classical_bernoulli_numbers(n_poly)
-    classical_polys = [
-        classical_bernoulli_polynomial(n, classical_nums) for n in range(n_poly + 1)
-    ]
+    memo = BernoulliFibTable.build(n_num)
+    fib_table = memo.table
+    series_numbers = memo.numbers
+    recursive_numbers = memo.recursive_numbers
+    polys = memo.polynomials
+    classical_nums = memo.classical_numbers
+    classical_polys = memo.classical_polynomials
 
     def number_sum_items():
         for n in range(2, n_num + 1):
             total = sum(
                 fib_table.fibonomial(n, j) * series_numbers[j] for j in range(n)
             )
-            yield n, format_rational(total), "0"
-
-    def constant_term_items():
-        for n in range(n_num + 1):
-            constant = bf_polynomial(n, series_numbers, fib_table).constant_term
-            yield n, format_rational(Fraction(constant)), format_rational(series_numbers[n])
+            yield n, total, 0
 
     def classical_sum_items():
         for n in range(2, n_poly + 1):
             total = sum(math.comb(n, j) * classical_nums[j] for j in range(n))
-            yield n, format_rational(total), "0"
+            yield n, total, 0
 
     return [
         _run(
             "numbers-cross-method",
             0,
             n_num,
-            (
-                (
-                    n,
-                    format_rational(series_numbers[n]),
-                    format_rational(recursive_numbers[n]),
-                )
-                for n in range(n_num + 1)
-            ),
+            ((n, series_numbers[n], recursive_numbers[n]) for n in range(n_num + 1)),
         ),
         _run(
             "polynomials-cross-method",
             0,
             n_poly,
-            ((n, polys[n], bf_polynomial_genfunc(n)) for n in range(n_poly + 1)),
+            (
+                (n, polys[n], bf_polynomial_genfunc(n, memo.reciprocal, fib_table))
+                for n in range(n_poly + 1)
+            ),
         ),
         _run(
             "golden-derivative-lowers-degree",
@@ -155,21 +161,18 @@ def verify_identities(max_degree: int) -> list[VerificationReport]:
             "value-at-one-equals-number",
             2,
             n_poly,
-            (
-                (
-                    n,
-                    format_rational(polys[n](Fraction(1))),
-                    format_rational(series_numbers[n]),
-                )
-                for n in range(2, n_poly + 1)
-            ),
+            ((n, polys[n](Fraction(1)), series_numbers[n]) for n in range(2, n_poly + 1)),
         ),
         _run(
             "h-polynomial-two-derivations",
             1,
             n_poly,
             (
-                (n, h_polynomial_sum(n), h_polynomial_explicit(n))
+                (
+                    n,
+                    h_polynomial_sum(n, polys, fib_table),
+                    h_polynomial_explicit(n, series_numbers, fib_table),
+                )
                 for n in range(1, n_poly + 1)
             ),
         ),
@@ -180,22 +183,27 @@ def verify_identities(max_degree: int) -> list[VerificationReport]:
             (
                 (
                     n,
-                    h_polynomial_explicit(n),
+                    h_polynomial_explicit(n, series_numbers, fib_table),
                     polys[n]
                     + Polynomial.monomial(n - 1, Fraction(fib_table.fib(n))),
                 )
                 for n in range(1, n_poly + 1)
             ),
         ),
-        _run("constant-term-equals-number", 0, n_num, constant_term_items()),
+        _run(
+            "constant-term-equals-number",
+            0,
+            n_num,
+            (
+                (n, polys[n].constant_term, series_numbers[n])
+                for n in range(n_num + 1)
+            ),
+        ),
         _run(
             "classical-odd-numbers-vanish",
             3,
             n_poly,
-            (
-                (n, format_rational(classical_nums[n]), "0")
-                for n in range(3, n_poly + 1, 2)
-            ),
+            ((n, classical_nums[n], 0) for n in range(3, n_poly + 1, 2)),
         ),
         _run("classical-number-sum-vanishes", 2, n_poly, classical_sum_items()),
         _run(
@@ -203,11 +211,7 @@ def verify_identities(max_degree: int) -> list[VerificationReport]:
             2,
             n_poly,
             (
-                (
-                    n,
-                    format_rational(classical_polys[n](Fraction(1))),
-                    format_rational(classical_nums[n]),
-                )
+                (n, classical_polys[n](Fraction(1)), classical_nums[n])
                 for n in range(2, n_poly + 1)
             ),
         ),
@@ -240,10 +244,11 @@ def core_property_reports(max_degree: int) -> list[VerificationReport]:
     n_binet = 8 * max_degree
     n_fibonomial = 2 * max_degree
     table = FibTable(n_binet)
+    ladders = golden_power_ladders(max_degree)
 
     def binet_items():
         for n in range(n_binet + 1):
-            yield n, format_rational(binet(n)), format_rational(Fraction(table.fib(n)))
+            yield n, binet(n), table.fib(n)
 
     def symmetry_items():
         for n in range(n_fibonomial + 1):
@@ -268,7 +273,7 @@ def core_property_reports(max_degree: int) -> list[VerificationReport]:
         for n in range(2, max_degree + 1):
             bad = None
             for k in range(1, n):
-                got = rule(n, k)
+                got = rule(n, k, table, ladders)
                 want = GoldenNumber.from_rational(table.fibonomial(n, k))
                 if got != want:
                     bad = (k, got, want)

@@ -5,17 +5,20 @@ import pytest
 from goldencalc import (
     BernoulliFibTable,
     Polynomial,
+    TruncatedSeries,
     bf_eval,
     bf_numbers_recursive,
     bf_numbers_series,
     bf_polynomial,
     bf_polynomial_genfunc,
     classical_bernoulli_numbers,
+    classical_bernoulli_numbers_recursive,
     classical_bernoulli_polynomial,
     fib,
     h_polynomial_explicit,
     h_polynomial_sum,
 )
+from goldencalc import bernoulli
 
 from conftest import fib_by_addition, fib_factorial_by_product
 
@@ -106,6 +109,15 @@ class TestNumbers:
     def test_cross_method_to_64(self):
         assert bf_numbers_series(64) == bf_numbers_recursive(64)
 
+    def test_recursive_never_touches_a_series(self, monkeypatch):
+        expected = bf_numbers_series(64)
+
+        def forbidden(self):
+            raise AssertionError("the recursive route inverted a series")
+
+        monkeypatch.setattr(TruncatedSeries, "inverse", forbidden)
+        assert bf_numbers_recursive(64) == expected
+
     def test_degenerate_bounds(self):
         assert bf_numbers_series(0) == [F(1)]
         assert bf_numbers_recursive(0) == [F(1)]
@@ -145,6 +157,19 @@ class TestPolynomials:
 
     def test_genfunc_degree_zero(self):
         assert bf_polynomial_genfunc(0) == poly(1)
+
+    def test_genfunc_never_reads_numbers(self, monkeypatch):
+        expected = [bf_polynomial(n) for n in range(33)]
+        memo = BernoulliFibTable.build(32)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the generating-function route read a number")
+
+        monkeypatch.setattr(bernoulli, "bf_numbers_series", forbidden)
+        monkeypatch.setattr(bernoulli, "bf_numbers_recursive", forbidden)
+        for n in range(33):
+            assert bf_polynomial_genfunc(n) == expected[n]
+            assert bf_polynomial_genfunc(n, memo.reciprocal, memo.table) == expected[n]
 
 
 class TestEvaluation:
@@ -207,6 +232,13 @@ class TestHPolynomials:
             expected = bf_polynomial(n) + Polynomial.monomial(n - 1, F(fib(n)))
             assert h_polynomial_sum(n) == expected
 
+    def test_shared_inputs_give_the_same_polynomials(self):
+        memo = BernoulliFibTable.build(24)
+        for n in range(1, 13):
+            expected = h_polynomial_sum(n)
+            assert h_polynomial_sum(n, memo.polynomials, memo.table) == expected
+            assert h_polynomial_explicit(n, memo.numbers, memo.table) == expected
+
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             h_polynomial_sum(0)
@@ -217,6 +249,16 @@ class TestHPolynomials:
 class TestClassicalBaseline:
     def test_published_numbers(self):
         assert classical_bernoulli_numbers(6) == CLASSICAL_NUMBERS
+
+    def test_recursive_route_matches_series_to_64(self, monkeypatch):
+        expected = classical_bernoulli_numbers(64)
+
+        def forbidden(self):
+            raise AssertionError("the recursive route inverted a series")
+
+        monkeypatch.setattr(TruncatedSeries, "inverse", forbidden)
+        assert classical_bernoulli_numbers_recursive(64) == expected
+        assert classical_bernoulli_numbers_recursive(0) == [1]
 
     def test_odd_numbers_vanish(self):
         numbers = classical_bernoulli_numbers(33)
@@ -267,3 +309,12 @@ class TestBernoulliFibTable:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             BernoulliFibTable.build(4, "floating")
+
+    def test_holds_every_route_of_one_degree(self):
+        memo = BernoulliFibTable.build(12)
+        assert memo.table.limit == 13
+        assert memo.reciprocal.order == 12
+        assert list(memo.recursive_numbers) == bf_numbers_recursive(12)
+        assert list(memo.classical_numbers) == classical_bernoulli_numbers(12)
+        for n in range(13):
+            assert memo.classical_polynomials[n] == classical_bernoulli_polynomial(n)

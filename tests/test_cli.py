@@ -14,6 +14,8 @@ GOLDEN_INVOCATIONS = {
     "numbers_fib_6.json": ["numbers", "fib", "6"],
     "poly_fib_2.json": ["poly", "fib", "2"],
     "fibonomial_7.json": ["fibonomial", "7"],
+    "verify_8.json": ["verify", "8"],
+    "verify_8_plain.txt": ["verify", "8", "--format", "plain"],
 }
 
 
@@ -71,6 +73,15 @@ def test_numbers_row_six(capsys):
 
 def test_numbers_classical(capsys):
     assert cli.main(["numbers", "classical", "6", "--format", "plain"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("1/42")
+
+
+def test_numbers_classical_both_compares_two_routes(monkeypatch, capsys):
+    # A broken series route must show up as a mismatch, not be compared with itself.
+    monkeypatch.setattr(cli, "classical_bernoulli_numbers", lambda n: [0] * (n + 1))
+    assert cli.main(["numbers", "classical", "6", "--method", "both", "--format", "plain"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "b_6: series=0 recursive=1/42 match=NO"
+    assert cli.main(["numbers", "classical", "6", "--method", "recursive", "--format", "plain"]) == 0
     assert capsys.readouterr().out.splitlines()[-1].endswith("1/42")
 
 

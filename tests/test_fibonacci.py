@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from goldencalc import (
+    PHI,
     ExactnessError,
     FibTable,
     binet,
@@ -12,6 +13,7 @@ from goldencalc import (
     fibonomial_rec_a,
     fibonomial_rec_b,
     fibonomial_row,
+    golden_power_ladders,
 )
 
 from conftest import fib_by_addition, fib_factorial_by_product, fibonomial_by_ratio
@@ -141,6 +143,22 @@ class TestPascalRecursions:
                 b = fibonomial_rec_b(n, k)
                 assert a.is_rational and a == expected
                 assert b.is_rational and b == expected
+
+    def test_shared_table_and_ladders(self):
+        table = FibTable(64)
+        ladders = golden_power_ladders(32)
+        for n in range(2, 33):
+            for k in range(1, n):
+                expected = table.fibonomial(n, k)
+                assert fibonomial_rec_a(n, k, table, ladders) == expected
+                assert fibonomial_rec_b(n, k, table, ladders) == expected
+
+    def test_ladders_match_powers(self):
+        phi_powers, conjugate_powers = golden_power_ladders(20)
+        assert len(phi_powers) == len(conjugate_powers) == 21
+        for k in range(21):
+            assert phi_powers[k] == PHI**k
+            assert conjugate_powers[k] == (-PHI.inverse()) ** k
 
     @pytest.mark.parametrize("bad", [(1, 1), (3, 0), (3, 3), (5, 7)])
     def test_precondition(self, bad):

@@ -1,6 +1,14 @@
+import time
+from fractions import Fraction
+
 import pytest
 
-from goldencalc import core_property_reports, verify_identities
+from goldencalc import (
+    Polynomial,
+    TruncatedSeries,
+    core_property_reports,
+    verify_identities,
+)
 from goldencalc.verify import VerificationReport, _run
 
 EXPECTED_IDENTITIES = {
@@ -77,6 +85,43 @@ def test_failure_captures_first_counterexample():
     assert report.counterexample.degree == 1
     assert report.counterexample.lhs == "1"
     assert report.counterexample.rhs == "2"
+
+
+def test_counterexample_text_of_exact_values():
+    report = _run("synthetic", 0, 1, [(0, Fraction(1, 2), Fraction(1, 3))])
+    assert report.counterexample.lhs == "1/2"
+    assert report.counterexample.rhs == "1/3"
+    report = _run("synthetic", 0, 1, [(0, Polynomial([1, 2]), Polynomial([1]))])
+    assert report.counterexample.lhs == "2 x + 1"
+
+
+def test_equal_values_beyond_the_str_limit_pass():
+    # Python refuses int -> str past 4300 digits; equal values are never rendered.
+    big = Fraction(10**5000 + 1, 3)
+    report = _run("synthetic", 0, 1, [(0, big, Fraction(3 * 10**5000 + 3, 9)), (1, big, big)])
+    assert report.passed
+    assert report.counterexample is None
+
+
+def test_bernoulli_layer_inverts_one_series_per_family(monkeypatch):
+    calls = []
+    inverse = TruncatedSeries.inverse
+
+    def counted(self):
+        calls.append(self.order)
+        return inverse(self)
+
+    monkeypatch.setattr(TruncatedSeries, "inverse", counted)
+    assert all(report.passed for report in verify_identities(16))
+    assert len(calls) == 2
+
+
+def test_degree_64_within_wall_clock_cap():
+    start = time.perf_counter()
+    reports = verify_identities(64) + core_property_reports(64)
+    elapsed = time.perf_counter() - start
+    assert all(report.passed for report in reports)
+    assert elapsed < 2.5, f"verify at degree 64 took {elapsed:.2f} s"
 
 
 def test_passing_report_has_no_counterexample():
