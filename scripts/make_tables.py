@@ -18,11 +18,11 @@ def main() -> int:
     args = parser.parse_args()
 
     print("% number table")
-    print(build_numbers_document(args.variant, args.max_number, "series").to_latex())
+    print(build_numbers_document(args.variant, args.max_number, "series").render("latex"))
     print()
     print("% polynomials")
     for n in range(args.max_poly + 1):
-        print(build_polynomial_document(args.variant, n).to_latex())
+        print(build_polynomial_document(args.variant, n).render("latex"))
     return 0
 
 

@@ -2,33 +2,30 @@
 """Regenerate the golden CLI fixtures in tests/golden/.
 
 Each fixture is the exact stdout byte stream of one CLI invocation, so
-the files are produced through a subprocess rather than in-process.
+the files are produced through a subprocess rather than in-process.  The
+invocations are listed in tests/golden_invocations.json, which the golden
+test in tests/test_cli.py reads too.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
-FIXTURES = {
-    "numbers_fib_6.json": ["numbers", "fib", "6"],
-    "poly_fib_2.json": ["poly", "fib", "2"],
-    "fibonomial_7.json": ["fibonomial", "7"],
-    "verify_8.json": ["verify", "8"],
-    "verify_8_plain.txt": ["verify", "8", "--format", "plain"],
-}
+TESTS = Path(__file__).resolve().parent.parent / "tests"
+GOLDEN = TESTS / "golden"
 
 
 def main() -> int:
-    golden = Path(__file__).resolve().parent.parent / "tests" / "golden"
-    golden.mkdir(parents=True, exist_ok=True)
-    for name, argv in FIXTURES.items():
+    invocations = json.loads((TESTS / "golden_invocations.json").read_text())
+    for name, argv in invocations.items():
         result = subprocess.run(
             [sys.executable, "-m", "goldencalc", *argv],
             capture_output=True,
             check=True,
         )
-        (golden / name).write_bytes(result.stdout)
-        print(f"wrote {golden / name} ({len(result.stdout)} bytes)")
+        (GOLDEN / name).write_bytes(result.stdout)
+        print(f"wrote {GOLDEN / name} ({len(result.stdout)} bytes)")
     return 0
 
 

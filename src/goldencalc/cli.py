@@ -3,12 +3,17 @@
     goldencalc numbers fib 6 --method=both --format=csv
     goldencalc poly fib 2
     goldencalc eval fib 6 1
+    goldencalc eval fib 4 --format plain -- -3/7
     goldencalc fibonomial 7
     goldencalc binomial 4 --format=latex
     goldencalc verify 32 --format=plain
 
+A negative point such as -3/7 would be read as an option, so it goes
+after "--", with every option before it.
+
 Exit codes: 0 on success, 1 when `verify` finds a broken identity,
-2 on usage errors.  Output goes to stdout unless --out is given.
+2 on usage errors, 3 on an unexpected internal error (reported in one
+line on stderr).  Output goes to stdout unless --out is given.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .bernoulli import (
 )
 from .fibonacci import fibonomial_row
 from .output import FORMATS, OutputDocument
-from .polynomials import golden_binomial, render_plain
+from .polynomials import golden_binomial, render_coefficients
 from .rationals import format_rational, parse_rational
 from .verify import VerificationReport, core_property_reports, verify_identities
 
@@ -66,10 +71,8 @@ def build_polynomial_document(variant: str, n: int) -> OutputDocument:
     poly = (
         classical_bernoulli_polynomial(n) if variant == "classical" else bf_polynomial(n)
     )
-    payload = {
-        "coefficients": [format_rational(poly.coefficient(i)) for i in range(n + 1)],
-        "rendered": render_plain(poly),
-    }
+    coefficients = [format_rational(poly.coefficient(i)) for i in range(n + 1)]
+    payload = {"coefficients": coefficients, "rendered": render_coefficients(coefficients)}
     return OutputDocument("polynomials", {"variant": variant, "n": n}, payload)
 
 
@@ -185,7 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="exact value of B_n at a rational point")
     p.add_argument("variant", choices=("fib", "classical"))
     p.add_argument("n", type=_nonnegative_int)
-    p.add_argument("x", type=_rational, help='rational literal, e.g. "1" or "-3/7"')
+    p.add_argument(
+        "x",
+        type=_rational,
+        help='rational literal, e.g. "1" or "1/2"; a negative one goes after every '
+        'option and "--", e.g. "eval fib 4 --format plain -- -3/7"',
+    )
     add_io_options(p)
 
     p = sub.add_parser("fibonomial", help="Fibonomial triangle rows 0..N")
@@ -227,25 +235,26 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
-    if args.command == "numbers":
-        document = build_numbers_document(args.variant, args.max_n, args.method)
-    elif args.command == "poly":
-        document = build_polynomial_document(args.variant, args.n)
-    elif args.command == "eval":
-        document = build_evaluation_document(args.variant, args.n, args.x)
-    elif args.command == "fibonomial":
-        document = build_fibonomial_document(args.max_n)
-    elif args.command == "binomial":
-        document = build_binomial_document(args.n)
-    elif args.command == "verify":
-        document = build_verification_document(args.max_degree)
+    try:
+        if args.command == "numbers":
+            document = build_numbers_document(args.variant, args.max_n, args.method)
+        elif args.command == "poly":
+            document = build_polynomial_document(args.variant, args.n)
+        elif args.command == "eval":
+            document = build_evaluation_document(args.variant, args.n, args.x)
+        elif args.command == "fibonomial":
+            document = build_fibonomial_document(args.max_n)
+        elif args.command == "binomial":
+            document = build_binomial_document(args.n)
+        else:  # argparse allows only "verify" here
+            document = build_verification_document(args.max_degree)
         _emit(document, args.format, args.out)
-        return 0 if document.metadata["all_passed"] else 1
-    else:  # pragma: no cover - argparse enforces the choices
-        return 2
-
-    _emit(document, args.format, args.out)
-    return 0
+    except Exception as exc:
+        # a bug must not exit 1, which reads as a failed identity
+        print(f"goldencalc: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    failed = document.kind == "verification" and not document.metadata["all_passed"]
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

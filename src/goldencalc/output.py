@@ -4,6 +4,10 @@ Every CLI command produces one OutputDocument; rendering is a pure
 function of the document, so identical invocations are byte-identical.
 All rational values cross the wire as strings "p/q" (reduced, q > 0) or
 "p" when integral; see :func:`goldencalc.rationals.format_rational`.
+Renderers never parse those strings back into numbers: a LaTeX fraction
+is the wire string split at its "/", and plain text and LaTeX share one
+term formatter, :func:`goldencalc.polynomials.render_terms`, for every
+signed sum of monomials (B_n(x), (x+y)_F^n).
 """
 
 from __future__ import annotations
@@ -12,20 +16,10 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
-from .polynomials import Polynomial
-
-FORMATS = ("json", "csv", "latex", "plain")
-KINDS = (
-    "numbers",
-    "polynomials",
-    "fibonomials",
-    "binomial",
-    "evaluation",
-    "verification",
-)
+from .polynomials import binomial_factors, render_coefficients, render_terms
+from .rationals import latex_rational
 
 
 @dataclass(frozen=True)
@@ -34,33 +28,10 @@ class OutputDocument:
     metadata: dict
     payload: object
 
-    def to_json(self) -> str:
-        body = {"kind": self.kind, "metadata": self.metadata, "payload": self.payload}
-        return json.dumps(body, indent=2)
-
-    def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        for row in _csv_rows(self):
-            writer.writerow(row)
-        return buffer.getvalue().rstrip("\r\n")
-
-    def to_latex(self) -> str:
-        return _LATEX_RENDERERS[self.kind](self)
-
-    def to_plain(self) -> str:
-        return _PLAIN_RENDERERS[self.kind](self)
-
     def render(self, fmt: str) -> str:
-        if fmt == "json":
-            return self.to_json()
-        if fmt == "csv":
-            return self.to_csv()
-        if fmt == "latex":
-            return self.to_latex()
-        if fmt == "plain":
-            return self.to_plain()
-        raise ValueError(f"unknown format: {fmt!r}")
+        if fmt not in _RENDERERS:
+            raise ValueError(f"unknown format: {fmt!r}")
+        return _RENDERERS[fmt](self)
 
 
 def load_schema() -> dict:
@@ -69,49 +40,27 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
-def latex_rational(value: Fraction | int) -> str:
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    sign = "-" if f < 0 else ""
-    return f"{sign}\\frac{{{abs(f.numerator)}}}{{{f.denominator}}}"
+def _symbol(letter: str, variant: str, n, latex: bool = False) -> str:
+    """b_n / B_n (classical) or b^F_n / B^F_n, in plain or LaTeX style."""
+    if latex:
+        return f"{letter}_{{{n}}}" if variant == "classical" else f"{letter}^{{F}}_{{{n}}}"
+    return f"{letter}_{n}" if variant == "classical" else f"{letter}_{n}^F"
 
 
-def latex_polynomial(p: Polynomial) -> str:
-    if p.is_zero:
-        return "0"
-    pieces = []
-    for i in range(p.degree, -1, -1):
-        c = Fraction(p.coefficient(i))
-        if c == 0:
-            continue
-        negative = c < 0
-        magnitude = -c if negative else c
-        variable = "" if i == 0 else ("x" if i == 1 else f"x^{{{i}}}")
-        show_coeff = magnitude != 1 or not variable
-        body = (latex_rational(magnitude) if show_coeff else "") + variable
-        if not pieces:
-            pieces.append(f"-{body}" if negative else body)
-        else:
-            pieces.append(f"{'-' if negative else '+'} {body}")
-    return " ".join(pieces)
-
-
-def _symbol(variant: str, n, arg: str = "x") -> str:
-    base = f"B_{{{n}}}" if variant == "classical" else f"B^{{F}}_{{{n}}}"
-    return f"{base}({arg})"
-
-
-def _plain_symbol(variant: str, n, arg: str = "x") -> str:
-    base = f"B_{n}" if variant == "classical" else f"B_{n}^F"
-    return f"{base}({arg})"
-
-
-def _number_symbol(variant: str, n) -> str:
-    return f"b_{n}" if variant == "classical" else f"b_{n}^F"
+def _render_json(doc: OutputDocument) -> str:
+    body = {"kind": doc.kind, "metadata": doc.metadata, "payload": doc.payload}
+    return json.dumps(body, indent=2)
 
 
 # -- CSV ---------------------------------------------------------------
+
+
+def _render_csv(doc: OutputDocument) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    for row in _csv_rows(doc):
+        writer.writerow(row)
+    return buffer.getvalue().rstrip("\r\n")
 
 
 def _csv_rows(doc: OutputDocument):
@@ -184,31 +133,27 @@ def _tabular(header: list[str], rows: list[list[str]], column_format: str) -> st
 
 
 def _latex_numbers(doc: OutputDocument) -> str:
-    variant = doc.metadata["variant"]
-    symbol = "b_{n}" if variant == "classical" else "b^{F}_{n}"
+    symbol = _symbol("b", doc.metadata["variant"], "n", latex=True)
     if doc.metadata["method"] == "both":
         rows = [
             [
                 str(row["n"]),
-                f"${latex_rational(Fraction(row['series']))}$",
-                f"${latex_rational(Fraction(row['recursive']))}$",
+                f"${latex_rational(row['series'])}$",
+                f"${latex_rational(row['recursive'])}$",
             ]
             for row in doc.payload
         ]
         return _tabular(["$n$", f"${symbol}$ (series)", f"${symbol}$ (recursive)"], rows, "rrr")
-    rows = [
-        [str(row["n"]), f"${latex_rational(Fraction(row['value']))}$"]
-        for row in doc.payload
-    ]
+    rows = [[str(row["n"]), f"${latex_rational(row['value'])}$"] for row in doc.payload]
     return _tabular(["$n$", f"${symbol}$"], rows, "rr")
 
 
 def _latex_polynomials(doc: OutputDocument) -> str:
     meta = doc.metadata
-    poly = Polynomial([Fraction(c) for c in doc.payload["coefficients"]])
+    sum_text = render_coefficients(doc.payload["coefficients"], latex=True)
     lines = [
         "\\begin{align*}",
-        f"{_symbol(meta['variant'], meta['n'])} &= {latex_polynomial(poly)}",
+        f"{_symbol('B', meta['variant'], meta['n'], latex=True)}(x) &= {sum_text}",
         "\\end{align*}",
     ]
     return "\n".join(lines)
@@ -226,21 +171,17 @@ def _latex_fibonomials(doc: OutputDocument) -> str:
 
 def _latex_binomial(doc: OutputDocument) -> str:
     n = doc.metadata["n"]
-    terms = doc.payload["terms"]
-    pieces = []
-    for term in terms:
-        coefficient = term["coefficient"]
-        xexp, yexp = n - term["k"], term["k"]
-        xpart = "" if xexp == 0 else ("x" if xexp == 1 else f"x^{{{xexp}}}")
-        ypart = "" if yexp == 0 else ("y" if yexp == 1 else f"y^{{{yexp}}}")
-        body = (coefficient if coefficient != "1" or not (xpart or ypart) else "") + xpart + ypart
-        if not pieces:
-            pieces.append(body if term["sign"] > 0 else f"-{body}")
-        else:
-            pieces.append(f"{'+' if term['sign'] > 0 else '-'} {body}")
+    terms = (
+        (
+            term["coefficient"] if term["sign"] > 0 else f"-{term['coefficient']}",
+            binomial_factors(n, term["k"]),
+        )
+        for term in doc.payload["terms"]
+    )
+    sum_text = render_terms(terms, latex=True)
     lines = [
         "\\begin{align*}",
-        f"(x+y)_F^{{{n}}} &= " + " ".join(pieces),
+        f"(x+y)_F^{{{n}}} &= {sum_text}",
         "\\end{align*}",
     ]
     return "\n".join(lines)
@@ -248,11 +189,11 @@ def _latex_binomial(doc: OutputDocument) -> str:
 
 def _latex_evaluation(doc: OutputDocument) -> str:
     meta = doc.metadata
-    point = latex_rational(Fraction(meta["x"]))
-    value = latex_rational(Fraction(doc.payload["value"]))
+    point = latex_rational(meta["x"])
+    value = latex_rational(doc.payload["value"])
     lines = [
         "\\begin{align*}",
-        f"{_symbol(meta['variant'], meta['n'], point)} &= {value}",
+        f"{_symbol('B', meta['variant'], meta['n'], latex=True)}({point}) &= {value}",
         "\\end{align*}",
     ]
     return "\n".join(lines)
@@ -290,12 +231,12 @@ def _plain_numbers(doc: OutputDocument) -> str:
         for row in doc.payload:
             match = "yes" if row["match"] else "NO"
             lines.append(
-                f"{_number_symbol(variant, row['n'])}: series={row['series']} "
+                f"{_symbol('b', variant, row['n'])}: series={row['series']} "
                 f"recursive={row['recursive']} match={match}"
             )
     else:
         for row in doc.payload:
-            lines.append(f"{_number_symbol(variant, row['n'])} = {row['value']}")
+            lines.append(f"{_symbol('b', variant, row['n'])} = {row['value']}")
     return "\n".join(lines)
 
 
@@ -303,7 +244,7 @@ def _plain_polynomials(doc: OutputDocument) -> str:
     meta = doc.metadata
     return "\n".join(
         [
-            f"{_plain_symbol(meta['variant'], meta['n'])} = {doc.payload['rendered']}",
+            f"{_symbol('B', meta['variant'], meta['n'])}(x) = {doc.payload['rendered']}",
             "coefficients (ascending): " + ", ".join(doc.payload["coefficients"]),
         ]
     )
@@ -321,7 +262,7 @@ def _plain_binomial(doc: OutputDocument) -> str:
 
 def _plain_evaluation(doc: OutputDocument) -> str:
     meta = doc.metadata
-    return f"{_plain_symbol(meta['variant'], meta['n'], meta['x'])} = {doc.payload['value']}"
+    return f"{_symbol('B', meta['variant'], meta['n'])}({meta['x']}) = {doc.payload['value']}"
 
 
 def _plain_verification(doc: OutputDocument) -> str:
@@ -351,3 +292,12 @@ _PLAIN_RENDERERS = {
     "evaluation": _plain_evaluation,
     "verification": _plain_verification,
 }
+
+
+_RENDERERS = {
+    "json": _render_json,
+    "csv": _render_csv,
+    "latex": lambda doc: _LATEX_RENDERERS[doc.kind](doc),
+    "plain": lambda doc: _PLAIN_RENDERERS[doc.kind](doc),
+}
+FORMATS = tuple(_RENDERERS)

@@ -14,6 +14,7 @@ from typing import Callable, Iterable
 
 from .fibonacci import FibTable
 from .golden import PHI, ExactnessError, GoldenNumber
+from .rationals import format_rational, latex_rational
 
 
 class Polynomial:
@@ -185,38 +186,22 @@ class GoldenBinomialExpansion:
     terms: tuple[BinomialTerm, ...]
 
     def monomial_text(self, k: int) -> str:
-        return _binomial_monomial(self.n, k)
+        return render_monomial(binomial_factors(self.n, k))
 
     def term_text(self, k: int) -> str:
-        term = self.terms[k]
-        monomial = _binomial_monomial(self.n, k)
-        magnitude = (
-            str(term.coefficient)
-            if term.coefficient != 1 or not monomial
-            else ""
-        )
-        body = f"{magnitude} {monomial}".strip()
-        return f"-{body}" if term.sign < 0 else body
+        return render_terms([self._signed_term(k)])
 
     def rendered(self) -> str:
-        parts = []
-        for term in self.terms:
-            text = self.term_text(term.k).lstrip("-")
-            if not parts:
-                parts.append(text if term.sign > 0 else f"-{text}")
-            else:
-                parts.append(f"{'+' if term.sign > 0 else '-'} {text}")
-        return " ".join(parts)
+        return render_terms(self._signed_term(term.k) for term in self.terms)
+
+    def _signed_term(self, k: int) -> tuple[str, tuple]:
+        term = self.terms[k]
+        return f"{'-' if term.sign < 0 else ''}{term.coefficient}", binomial_factors(self.n, k)
 
 
-def _binomial_monomial(n: int, k: int) -> str:
-    xexp, yexp = n - k, k
-    xpart = "" if xexp == 0 else ("x" if xexp == 1 else f"x^{xexp}")
-    ypart = "" if yexp == 0 else ("y" if yexp == 1 else f"y^{yexp}")
-    if xpart and ypart:
-        # bare variables stick together ("xy"); exponents get a space
-        return xpart + ypart if xexp == 1 and yexp == 1 else f"{xpart} {ypart}"
-    return xpart or ypart
+def binomial_factors(n: int, k: int) -> tuple[tuple[str, int], ...]:
+    """The (variable, exponent) factors of term k of (x + y)_F^n: x^(n-k) y^k."""
+    return (("x", n - k), ("y", k))
 
 
 def golden_binomial(n: int) -> GoldenBinomialExpansion:
@@ -233,26 +218,57 @@ def golden_binomial(n: int) -> GoldenBinomialExpansion:
 
 def render_plain(p: Polynomial) -> str:
     """Human-readable form, highest degree first: "x^2 - x + 1/2"."""
-    if p.is_zero:
-        return "0"
     if not all(isinstance(c, (int, Fraction)) for c in p.coeffs):
         # non-rational coefficient ring (debug output only)
         return " + ".join(
             f"({c}) x^{i}" for i, c in enumerate(p.coeffs) if c != 0
         )
+    return render_coefficients([format_rational(c) for c in p.coeffs])
+
+
+def render_coefficients(coefficients: list[str], latex: bool = False) -> str:
+    """Sum of c_i x^i, highest degree first, from ascending wire-format coefficients."""
+    return render_terms(
+        ((coefficients[i], (("x", i),)) for i in range(len(coefficients) - 1, -1, -1)),
+        latex,
+    )
+
+
+def render_terms(terms: Iterable[tuple[str, tuple]], latex: bool = False) -> str:
+    """Signed sum of monomials: the one term formatter for plain text and LaTeX.
+
+    Each term is a ``"p/q"`` wire-format coefficient and its ``(variable,
+    exponent)`` factors.  Zero terms are skipped, a unit coefficient is
+    dropped unless the monomial is empty, and an empty sum is "0".
+    """
     pieces = []
-    for i in range(p.degree, -1, -1):
-        c = p.coefficient(i)
-        if c == 0:
+    for coefficient, factors in terms:
+        if coefficient == "0":
             continue
-        c = Fraction(c)
-        negative = c < 0
-        magnitude = -c if negative else c
-        variable = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
-        show_coeff = magnitude != 1 or not variable
-        body = " ".join(filter(None, [str(magnitude) if show_coeff else "", variable]))
-        if not pieces:
-            pieces.append(f"-{body}" if negative else body)
+        negative = coefficient.startswith("-")
+        magnitude = coefficient.lstrip("-")
+        monomial = render_monomial(factors, latex)
+        if magnitude == "1" and monomial:
+            body = monomial
+        elif latex:
+            body = latex_rational(magnitude) + monomial
         else:
+            body = f"{magnitude} {monomial}" if monomial else magnitude
+        if pieces:
             pieces.append(f"{'-' if negative else '+'} {body}")
-    return " ".join(pieces)
+        else:
+            pieces.append(f"-{body}" if negative else body)
+    return " ".join(pieces) or "0"
+
+
+def render_monomial(factors: Iterable[tuple[str, int]], latex: bool = False) -> str:
+    """``x^4 y`` or ``xy`` in plain text, ``x^{4}y`` in LaTeX; exponent 0 drops a factor."""
+    parts = []
+    for variable, exponent in factors:
+        if exponent == 1:
+            parts.append(variable)
+        elif exponent:
+            parts.append(f"{variable}^{{{exponent}}}" if latex else f"{variable}^{exponent}")
+    # plain text: bare variables stick together ("xy"), exponents get a space
+    bare = latex or all("^" not in part for part in parts)
+    return ("" if bare else " ").join(parts)

@@ -2,7 +2,8 @@
 
 ``fractions.Fraction`` already guarantees everything the library needs
 from its universal scalar: values are always reduced, the denominator is
-positive, and zero is stored as 0/1.  We only add the wire format.
+positive, and zero is stored as 0/1.  We only add the wire format and
+its LaTeX form, which is built from the string without parsing it back.
 """
 
 from __future__ import annotations
@@ -26,3 +27,12 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not an exact rational literal: {text!r}") from exc
+
+
+def latex_rational(text: str) -> str:
+    """LaTeX form of a wire string: ``"-5/8"`` becomes ``-\\frac{5}{8}``, ``"3"`` stays."""
+    numerator, slash, denominator = text.partition("/")
+    if not slash:
+        return text
+    sign = "-" if numerator.startswith("-") else ""
+    return f"{sign}\\frac{{{numerator.lstrip('-')}}}{{{denominator}}}"

@@ -1,22 +1,20 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from goldencalc import cli
+from goldencalc.bernoulli import bf_eval
+from goldencalc.rationals import format_rational
 from goldencalc.verify import Counterexample, VerificationReport
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-GOLDEN_INVOCATIONS = {
-    "numbers_fib_6.json": ["numbers", "fib", "6"],
-    "poly_fib_2.json": ["poly", "fib", "2"],
-    "fibonomial_7.json": ["fibonomial", "7"],
-    "verify_8.json": ["verify", "8"],
-    "verify_8_plain.txt": ["verify", "8", "--format", "plain"],
-}
+# fixture name -> CLI argv; scripts/regen_fixtures.py reads the same file
+GOLDEN_INVOCATIONS = json.loads((Path(__file__).parent / "golden_invocations.json").read_text())
 
 
 def run_cli(*args):
@@ -33,6 +31,10 @@ def test_golden_files_byte_identical(fixture):
     result = run_cli(*GOLDEN_INVOCATIONS[fixture])
     assert result.returncode == 0
     assert result.stdout == expected
+
+
+def test_every_golden_file_has_an_invocation():
+    assert {path.name for path in GOLDEN_DIR.iterdir()} == set(GOLDEN_INVOCATIONS)
 
 
 def test_out_flag_writes_stdout_bytes(tmp_path):
@@ -94,6 +96,13 @@ def test_eval_published_values(capsys):
     assert capsys.readouterr().out.strip() == "B_4^F(1/2) = 19/80"
 
 
+def test_eval_negative_point_after_double_dash(capsys):
+    # "-3/7" alone would be read as an option; after "--" it is the point
+    assert cli.main(["eval", "fib", "4", "--", "-3/7"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert document["payload"]["value"] == format_rational(bf_eval(4, Fraction(-3, 7)))
+
+
 def test_binomial_rendering(capsys):
     assert cli.main(["binomial", "2", "--format", "plain"]) == 0
     assert capsys.readouterr().out.strip() == "(x+y)_F^2 = x^2 + xy - y^2"
@@ -138,6 +147,16 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "FAIL synthetic-broken" in out
         assert "counterexample at 3: 1/2 != 1/3" in out
+
+    def test_internal_error_is_3(self, monkeypatch, capsys):
+        def broken(max_n):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "build_fibonomial_document", broken)
+        assert cli.main(["fibonomial", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "goldencalc: internal error: RuntimeError: boom\n"
 
     def test_success_is_0(self, capsys):
         assert cli.main(["fibonomial", "0", "--format", "plain"]) == 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from goldencalc import Polynomial, format_rational, parse_rational
+from goldencalc import format_rational, parse_rational
 from goldencalc.cli import (
     build_binomial_document,
     build_evaluation_document,
@@ -15,7 +15,9 @@ from goldencalc.cli import (
     build_polynomial_document,
     build_verification_document,
 )
-from goldencalc.output import latex_polynomial, latex_rational, load_schema
+from goldencalc import polynomials
+from goldencalc.output import OutputDocument, load_schema
+from goldencalc.rationals import latex_rational
 
 F = Fraction
 
@@ -63,13 +65,14 @@ class TestRationalWireFormat:
 
 class TestLatexHelpers:
     def test_latex_rational(self):
-        assert latex_rational(F(3)) == "3"
-        assert latex_rational(F(1, 2)) == "\\frac{1}{2}"
-        assert latex_rational(F(-5, 8)) == "-\\frac{5}{8}"
+        assert latex_rational("3") == "3"
+        assert latex_rational("1/2") == "\\frac{1}{2}"
+        assert latex_rational("-5/8") == "-\\frac{5}{8}"
 
-    def test_latex_polynomial(self):
-        p = Polynomial([F(1, 2), F(-1), F(1)])
-        assert latex_polynomial(p) == "x^{2} - x + \\frac{1}{2}"
+    def test_latex_rational_past_the_int_str_limit(self):
+        # the wire string is split, never parsed back into a number
+        numerator = "7" * 5000
+        assert latex_rational(f"-{numerator}/3") == f"-\\frac{{{numerator}}}{{3}}"
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +95,7 @@ DOCUMENTS = {
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
 def test_json_documents_validate_against_schema(schema, name):
     document = DOCUMENTS[name]()
-    jsonschema.validate(json.loads(document.to_json()), schema)
+    jsonschema.validate(json.loads(document.render("json")), schema)
 
 
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
@@ -105,7 +108,7 @@ def test_rendering_is_deterministic(name):
 
 def test_schema_rejects_malformed_rational():
     schema = load_schema()
-    document = json.loads(build_numbers_document("fib", 2, "series").to_json())
+    document = json.loads(build_numbers_document("fib", 2, "series").render("json"))
     document["payload"][0]["value"] = "1.5"
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(document, schema)
@@ -167,35 +170,47 @@ def test_binomial_document_terms():
     assert build_binomial_document(0).payload["rendered"] == "1"
 
 
+def test_binomial_document_formats_each_term_once_per_field(monkeypatch):
+    # term_text(k) formats term k alone; rebuilding the sum per term is O(n^2)
+    calls = []
+    original = polynomials.render_monomial
+    monkeypatch.setattr(
+        polynomials, "render_monomial", lambda *args: calls.append(args) or original(*args)
+    )
+    build_binomial_document(40)
+    assert len(calls) == 3 * 41
+
+
+def test_render_rejects_unknown_format():
+    with pytest.raises(ValueError):
+        build_fibonomial_document(1).render("xml")
+
+
 def test_csv_has_header_and_quoting():
     document = build_numbers_document("fib", 2, "series")
-    lines = document.to_csv().split("\r\n")
+    lines = document.render("csv").split("\r\n")
     assert lines[0] == "n,value"
     assert lines[1] == "0,1"
 
     # a field containing a comma must be quoted RFC-style
-    from goldencalc.output import OutputDocument
-
     doc = OutputDocument(
         "polynomials",
         {"variant": "fib", "n": 0},
         {"coefficients": ["1"], "rendered": "a,b"},
     )
-    assert doc.to_csv().split("\r\n")[0] == "degree,coefficient"
+    assert doc.render("csv").split("\r\n")[0] == "degree,coefficient"
 
 
 def test_latex_contains_environments():
-    assert "\\begin{tabular}" in build_numbers_document("fib", 2, "series").to_latex()
-    assert "\\begin{align*}" in build_polynomial_document("fib", 2).to_latex()
-    assert "\\frac{1}{2}" in build_polynomial_document("fib", 2).to_latex()
-    assert "\\begin{tabular}" in build_fibonomial_document(3).to_latex()
-    assert "\\begin{align*}" in build_evaluation_document("fib", 2, F(1)).to_latex()
-    assert "\\begin{tabular}" in build_verification_document(2).to_latex()
+    assert "\\begin{tabular}" in build_numbers_document("fib", 2, "series").render("latex")
+    assert "\\begin{align*}" in build_polynomial_document("fib", 2).render("latex")
+    assert "\\frac{1}{2}" in build_polynomial_document("fib", 2).render("latex")
+    assert "\\begin{tabular}" in build_fibonomial_document(3).render("latex")
+    assert "\\begin{align*}" in build_evaluation_document("fib", 2, F(1)).render("latex")
+    assert "\\begin{tabular}" in build_verification_document(2).render("latex")
 
 
 def test_plain_verification_lists_counterexample():
-    from goldencalc.output import OutputDocument
-
     payload = [
         {
             "identity": "synthetic",
@@ -207,7 +222,7 @@ def test_plain_verification_lists_counterexample():
         }
     ]
     doc = OutputDocument("verification", {"max_degree": 2, "all_passed": False}, payload)
-    text = doc.to_plain()
+    text = doc.render("plain")
     assert "FAIL synthetic" in text
     assert "counterexample at 1: 1 != 2" in text
     assert "FAILURES: 1" in text

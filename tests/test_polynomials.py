@@ -12,7 +12,7 @@ from goldencalc import (
     golden_derivative,
     golden_derivative_dilatation,
 )
-from goldencalc.polynomials import render_plain
+from goldencalc.polynomials import render_coefficients, render_plain, render_terms
 
 from conftest import fib_by_addition, rational_polynomials, rationals
 
@@ -157,3 +157,20 @@ class TestRendering:
         assert render_plain(Polynomial()) == "0"
         assert render_plain(poly(-1, 1)) == "x - 1"
         assert render_plain(poly(0, -1)) == "-x"
+
+    def test_latex_rendering(self):
+        latex = render_coefficients(["1/2", "-1", "1"], latex=True)
+        assert latex == "x^{2} - x + \\frac{1}{2}"
+
+    def test_plain_and_latex_share_one_term_formatter(self):
+        terms = [
+            ("-3/2", (("x", 4), ("y", 1))),
+            ("0", (("x", 3),)),
+            ("5", (("x", 1), ("y", 4))),
+            ("1", (("x", 1), ("y", 1))),
+            ("-1", (("x", 0), ("y", 0))),
+        ]
+        assert render_terms(terms) == "-3/2 x^4 y + 5 x y^4 + xy - 1"
+        assert render_terms(terms, latex=True) == "-\\frac{3}{2}x^{4}y + 5xy^{4} + xy - 1"
+        assert render_terms([("0", (("x", 2),))]) == "0"
+        assert render_terms([]) == "0"
