@@ -28,6 +28,7 @@ from .fibonacci import (
     fibonomial_rec_a,
     fibonomial_rec_b,
     fibonomial_row,
+    fibonomial_triangle,
     golden_power_ladders,
 )
 from .golden import PHI, PHI_CONJUGATE, SQRT5, ExactnessError, GoldenNumber
@@ -81,6 +82,7 @@ __all__ = [
     "fibonomial_rec_a",
     "fibonomial_rec_b",
     "fibonomial_row",
+    "fibonomial_triangle",
     "format_rational",
     "golden_binomial",
     "golden_derivative",

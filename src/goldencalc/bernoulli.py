@@ -22,7 +22,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .fibonacci import FibTable
-from .polynomials import Polynomial
+from .polynomials import Polynomial, linear_combination
+from .rationals import sum_of_products
 from .series import TruncatedSeries
 
 
@@ -61,7 +62,7 @@ def bf_numbers_recursive(max_n: int) -> list[Fraction]:
     table = FibTable(max_n + 1)
     numbers: list[Fraction] = [Fraction(1)]
     for n in range(2, max_n + 2):
-        acc = sum(table.fibonomial(n, j) * numbers[j] for j in range(n - 1))
+        acc = sum_of_products((table.fibonomial(n, j), numbers[j]) for j in range(n - 1))
         numbers.append(-acc / table.fibonomial(n, n - 1))
     return numbers
 
@@ -138,10 +139,9 @@ def h_polynomial_sum(
     if polynomials is None:
         numbers = bf_numbers_series(n)
         polynomials = [bf_polynomial(m, numbers, table) for m in range(n + 1)]
-    acc = Polynomial()
-    for k in range(n + 1):
-        acc = acc + polynomials[n - k] * table.fibonomial(n, k)
-    return acc
+    return linear_combination(
+        (table.fibonomial(n, k), polynomials[n - k]) for k in range(n + 1)
+    )
 
 
 def h_polynomial_explicit(
@@ -181,7 +181,7 @@ def classical_bernoulli_numbers_recursive(max_n: int) -> list[Fraction]:
         raise ValueError("max_n must be nonnegative")
     numbers: list[Fraction] = [Fraction(1)]
     for n in range(1, max_n + 1):
-        acc = sum(math.comb(n + 1, j) * numbers[j] for j in range(n))
+        acc = sum_of_products((math.comb(n + 1, j), numbers[j]) for j in range(n))
         numbers.append(-acc / (n + 1))
     return numbers
 

@@ -31,7 +31,7 @@ from .bernoulli import (
     classical_bernoulli_numbers_recursive,
     classical_bernoulli_polynomial,
 )
-from .fibonacci import fibonomial_row
+from .fibonacci import fibonomial_triangle
 from .output import FORMATS, OutputDocument
 from .polynomials import golden_binomial, render_coefficients
 from .rationals import format_rational, parse_rational
@@ -87,8 +87,8 @@ def build_evaluation_document(variant: str, n: int, point: Fraction) -> OutputDo
 
 def build_fibonomial_document(max_n: int) -> OutputDocument:
     payload = [
-        {"n": n, "row": [str(v) for v in fibonomial_row(n)]}
-        for n in range(max_n + 1)
+        {"n": n, "row": [str(v) for v in row]}
+        for n, row in enumerate(fibonomial_triangle(max_n))
     ]
     return OutputDocument("fibonomials", {"max_n": max_n}, payload)
 
@@ -99,7 +99,7 @@ def build_binomial_document(n: int) -> OutputDocument:
         {
             "k": term.k,
             "sign": term.sign,
-            "coefficient": str(term.coefficient),
+            "coefficient": format_rational(term.coefficient),
             "monomial": expansion.monomial_text(term.k),
             "term": expansion.term_text(term.k),
         }

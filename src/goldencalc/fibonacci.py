@@ -1,14 +1,33 @@
 """Fibonacci numbers, their factorials, and Fibonomial coefficients.
 
 Conventions: F_0 = 0, F_1 = F_2 = 1, F_n = F_(n-1) + F_(n-2), and
-F_0! = 1 (empty product).  Fibonomials [n, k] = F_n!/(F_(n-k)! F_k!) are
-computed as factorial ratios with the exactness of the division asserted,
-so any arithmetic slip trips immediately instead of truncating.
+F_0! = 1 (empty product).  Fibonomials [n, k] = F_n!/(F_(n-k)! F_k!) come
+by two independent routes:
+
+- ``FibTable.fibonomial`` takes the factorial ratio with the exactness of
+  the division asserted, so any arithmetic slip trips immediately instead
+  of truncating; ``verify`` and the Bernoulli layer use this definition.
+- :func:`fibonomial_triangle` builds whole rows 0..N in one pass by the
+  integer Pascal rule [n, k] = F_(k+1) [n-1, k] + F_(n-k-1) [n-1, k-1],
+  with no division at all.  Its entries are exact decimal integers
+  (``Decimal`` with exponent 0 under a context that traps every rounding),
+  whose digit strings cost linear time at any size.
 """
 
 from __future__ import annotations
 
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    Inexact,
+    InvalidOperation,
+    Rounded,
+)
 from fractions import Fraction
+from typing import Iterator
 
 from .golden import PHI, PHI_CONJUGATE, SQRT5, ExactnessError, GoldenNumber
 
@@ -81,6 +100,34 @@ def fibonomial(n: int, k: int) -> int:
 def fibonomial_row(n: int) -> tuple[int, ...]:
     _require_nonnegative(n)
     return FibTable(n).fibonomial_row(n)
+
+
+def fibonomial_triangle(max_n: int) -> Iterator[tuple[Decimal, ...]]:
+    """Rows 0..max_n of [n, k] by the Pascal rule, keeping only the previous row.
+
+    [n, k] = F_(k+1) [n-1, k] + F_(n-k-1) [n-1, k-1], from one FibTable.
+    Entries are exact decimal integers; ``str`` of one is its digits.
+    """
+    _require_nonnegative(max_n)
+    return _pascal_rows([Decimal(f) for f in FibTable(max_n).values])
+
+
+def _pascal_rows(fibs: list[Decimal]) -> Iterator[tuple[Decimal, ...]]:
+    # integer arithmetic that never rounds: a lost digit raises instead
+    exact = Context(
+        prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded, InvalidOperation]
+    )
+    add, mul = exact.add, exact.multiply
+    one = Decimal(1)
+    row = (one,)
+    yield row
+    for n in range(1, len(fibs)):
+        inner = (
+            add(mul(fibs[k + 1], row[k]), mul(fibs[n - k - 1], row[k - 1]))
+            for k in range(1, n)
+        )
+        row = (one, *inner, one)
+        yield row
 
 
 def binet(n: int) -> Fraction:

@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 
 from .fibonacci import FibTable
 from .golden import PHI, ExactnessError, GoldenNumber
-from .rationals import format_rational, latex_rational
+from .rationals import format_rational, latex_rational, sum_of_products
 
 
 class Polynomial:
@@ -147,6 +147,20 @@ class Polynomial:
         return Polynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
 
+def linear_combination(terms: Iterable[tuple[Fraction | int, Polynomial]]) -> Polynomial:
+    """Sum of weight * polynomial over ``terms``, all rational.
+
+    Each output coefficient is one :func:`~goldencalc.rationals.sum_of_products`,
+    reduced once instead of after every polynomial addition.
+    """
+    terms = list(terms)
+    size = max((len(p.coeffs) for _, p in terms), default=0)
+    return Polynomial(
+        sum_of_products((w, p.coeffs[i]) for w, p in terms if i < len(p.coeffs))
+        for i in range(size)
+    )
+
+
 def golden_derivative(p: Polynomial) -> Polynomial:
     """Golden derivative by the coefficient rule: c_n x^n -> c_n F_n x^(n-1)."""
     if p.is_zero:
@@ -196,7 +210,7 @@ class GoldenBinomialExpansion:
 
     def _signed_term(self, k: int) -> tuple[str, tuple]:
         term = self.terms[k]
-        return f"{'-' if term.sign < 0 else ''}{term.coefficient}", binomial_factors(self.n, k)
+        return format_rational(term.sign * term.coefficient), binomial_factors(self.n, k)
 
 
 def binomial_factors(n: int, k: int) -> tuple[tuple[str, int], ...]:

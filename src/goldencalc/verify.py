@@ -47,8 +47,9 @@ from .polynomials import (
     golden_binomial,
     golden_derivative,
     golden_derivative_dilatation,
+    linear_combination,
 )
-from .rationals import format_rational
+from .rationals import format_rational, sum_of_products
 
 RANDOM_POLY_SAMPLES = 200
 RANDOM_POLY_SEED = 0x5F1B0
@@ -115,14 +116,14 @@ def verify_identities(max_degree: int) -> list[VerificationReport]:
 
     def number_sum_items():
         for n in range(2, n_num + 1):
-            total = sum(
-                fib_table.fibonomial(n, j) * series_numbers[j] for j in range(n)
+            total = sum_of_products(
+                (fib_table.fibonomial(n, j), series_numbers[j]) for j in range(n)
             )
             yield n, total, 0
 
     def classical_sum_items():
         for n in range(2, n_poly + 1):
-            total = sum(math.comb(n, j) * classical_nums[j] for j in range(n))
+            total = sum_of_products((math.comb(n, j), classical_nums[j]) for j in range(n))
             yield n, total, 0
 
     return [
@@ -231,9 +232,7 @@ def _summation_items(
     polys, fib_table: FibTable, n_poly: int
 ) -> Iterator[tuple[int, Polynomial, Polynomial]]:
     for n in range(1, n_poly + 1):
-        acc = Polynomial()
-        for l in range(n):
-            acc = acc + polys[l] * fib_table.fibonomial(n, l)
+        acc = linear_combination((fib_table.fibonomial(n, l), polys[l]) for l in range(n))
         yield n, acc, Polynomial.monomial(n - 1, Fraction(fib_table.fib(n)))
 
 

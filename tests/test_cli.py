@@ -1,12 +1,13 @@
 import json
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from goldencalc import cli
+from goldencalc import cli, fibonacci
 from goldencalc.bernoulli import bf_eval
 from goldencalc.rationals import format_rational
 from goldencalc.verify import Counterexample, VerificationReport
@@ -110,6 +111,26 @@ def test_binomial_rendering(capsys):
     assert capsys.readouterr().out.strip() == "(x+y)_F^0 = 1"
 
 
+def test_fibonomial_document_builds_one_table(monkeypatch):
+    # one Pascal pass over one FibTable, never a factorial ratio per entry
+    built = []
+    original = fibonacci.FibTable.__init__
+
+    def counting(self, limit):
+        built.append(limit)
+        original(self, limit)
+
+    def refuse(self, n, k):
+        raise AssertionError("factorial-ratio Fibonomial called from the triangle builder")
+
+    monkeypatch.setattr(fibonacci.FibTable, "__init__", counting)
+    monkeypatch.setattr(fibonacci.FibTable, "fibonomial", refuse)
+    document = cli.build_fibonomial_document(60)
+    assert len(built) <= 1
+    assert document.payload[7] == {"n": 7, "row": ["1", "13", "104", "260", "260", "104", "13", "1"]}
+    assert len(document.payload) == 61
+
+
 def test_verify_small_bound_passes(capsys):
     assert cli.main(["verify", "2", "--format", "plain"]) == 0
     out = capsys.readouterr().out
@@ -166,3 +187,44 @@ class TestExitCodes:
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+class TestPastTheIntStrLimit:
+    """Commands whose numbers run past Python's 4300-digit int<->str limit."""
+
+    @pytest.fixture(scope="class")
+    def ratio_digits(self):
+        table = fibonacci.FibTable(300)
+        return lambda n, k: str(Decimal(table.fibonomial(n, k)))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "latex", "plain"])
+    def test_fibonomial_300(self, fmt, ratio_digits, tmp_path):
+        target = tmp_path / "out"
+        assert cli.main(["fibonomial", "300", "--format", fmt, "--out", str(target)]) == 0
+        text = target.read_text()
+        center = ratio_digits(300, 150)
+        assert len(center) > 4300
+        assert center in text
+        if fmt == "json":
+            rows = json.loads(text)["payload"]
+            assert len(rows) == 301
+            for n in (299, 300):
+                assert rows[n]["row"] == [ratio_digits(n, k) for k in range(n + 1)]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "latex", "plain"])
+    def test_binomial_300(self, fmt, ratio_digits, tmp_path):
+        target = tmp_path / "out"
+        assert cli.main(["binomial", "300", "--format", fmt, "--out", str(target)]) == 0
+        text = target.read_text()
+        assert ratio_digits(300, 150) in text
+        if fmt == "json":
+            terms = json.loads(text)["payload"]["terms"]
+            assert [term["coefficient"] for term in terms] == [
+                ratio_digits(300, k) for k in range(301)
+            ]
+
+    def test_numbers_fib_210_recursive(self, capsys):
+        assert cli.main(["numbers", "fib", "210", "--method", "recursive"]) == 0
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        numerators = [row["value"].partition("/")[0].lstrip("-") for row in payload]
+        assert max(map(len, numerators)) > 4300

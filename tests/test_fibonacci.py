@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from goldencalc import (
     fibonomial_rec_a,
     fibonomial_rec_b,
     fibonomial_row,
+    fibonomial_triangle,
     golden_power_ladders,
 )
 
@@ -122,6 +124,41 @@ class TestFibonomial:
     def test_k_exceeding_n_rejected(self):
         with pytest.raises(ValueError):
             fibonomial(3, 4)
+
+
+class TestFibonomialTriangle:
+    """The one-pass Pascal triangle against the factorial-ratio route."""
+
+    def test_row_seven(self):
+        rows = list(fibonomial_triangle(7))
+        assert len(rows) == 8
+        assert rows[7] == (1, 13, 104, 260, 260, 104, 13, 1)
+
+    def test_every_row_matches_factorial_ratio_up_to_120(self):
+        table = FibTable(120)
+        for n, row in enumerate(fibonomial_triangle(120)):
+            assert row == table.fibonomial_row(n)
+
+    def test_rows_past_the_int_str_limit(self):
+        rows = list(fibonomial_triangle(300))
+        assert len(rows) == 301
+        for row in rows:
+            assert row == row[::-1]
+        table = FibTable(300)
+        for n in (299, 300):
+            assert rows[n] == tuple(Decimal(table.fibonomial(n, k)) for k in range(n + 1))
+        # the central entry is longer than the int<->str limit (4300 digits)
+        assert len(str(rows[300][150])) > 4300
+
+    def test_entries_are_exact_decimal_integers(self):
+        for row in fibonomial_triangle(40):
+            for value in row:
+                assert isinstance(value, Decimal)
+                assert value.as_tuple().exponent == 0
+
+    def test_negative_rejected_before_iteration(self):
+        with pytest.raises(ValueError):
+            fibonomial_triangle(-1)
 
 
 class TestPascalRecursions:

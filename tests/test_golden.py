@@ -93,6 +93,36 @@ def test_components_stay_reduced_with_positive_denominator(x, y):
             assert gcd(abs(part.numerator), part.denominator) == 1
 
 
+@given(golden_numbers, nonzero_golden_numbers)
+def test_inverse_and_quotient_stay_reduced(x, y):
+    for value in (y.inverse(), x / y, y**-2):
+        for part in (value.a, value.b):
+            assert part.denominator > 0
+            from math import gcd
+
+            assert gcd(abs(part.numerator), part.denominator) == 1
+
+
+def test_equal_values_have_one_representation():
+    halves = GoldenNumber(Fraction(2, 4), Fraction(-3, 6))
+    assert halves == PHI_CONJUGATE
+    assert hash(halves) == hash(PHI_CONJUGATE)
+    assert GoldenNumber(Fraction(1, 3), Fraction(1, 6)).a == Fraction(1, 3)
+    assert GoldenNumber(Fraction(1, 3), Fraction(1, 6)).b == Fraction(1, 6)
+    assert PHI * 2 - SQRT5 == 1
+
+
+def test_phi_power_components_are_lucas_and_fibonacci():
+    # phi^n = (L_n + F_n sqrt5)/2
+    lucas, fib = [2, 1], [0, 1]
+    for _ in range(2, 301):
+        lucas.append(lucas[-1] + lucas[-2])
+        fib.append(fib[-1] + fib[-2])
+    for n in (0, 1, 2, 7, 64, 300):
+        power = PHI**n
+        assert (power.a, power.b) == (Fraction(lucas[n], 2), Fraction(fib[n], 2))
+
+
 def test_to_rational_guards_sqrt5_residue():
     with pytest.raises(ExactnessError):
         PHI.to_rational()

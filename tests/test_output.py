@@ -1,4 +1,6 @@
 import json
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import jsonschema
@@ -36,6 +38,15 @@ class TestRationalWireFormat:
     )
     def test_format(self, value, text):
         assert format_rational(value) == text
+
+    def test_format_past_the_int_str_limit(self):
+        limit = sys.get_int_max_str_digits()
+        digits = "7" * (limit + 700)
+        big = int(Decimal(digits))  # int(str) would hit the limit itself
+        assert format_rational(big) == digits
+        assert format_rational(F(-big, 3)) == f"-{digits}/3"
+        assert format_rational(F(3, big)) == f"3/{digits}"
+        assert sys.get_int_max_str_digits() == limit
 
     def test_parse(self):
         assert parse_rational("101/39") == F(101, 39)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from goldencalc import (
     PHI,
@@ -12,7 +13,13 @@ from goldencalc import (
     golden_derivative,
     golden_derivative_dilatation,
 )
-from goldencalc.polynomials import render_coefficients, render_plain, render_terms
+from goldencalc.polynomials import (
+    linear_combination,
+    render_coefficients,
+    render_plain,
+    render_terms,
+)
+from goldencalc.rationals import sum_of_products
 
 from conftest import fib_by_addition, rational_polynomials, rationals
 
@@ -174,3 +181,26 @@ class TestRendering:
         assert render_terms(terms, latex=True) == "-\\frac{3}{2}x^{4}y + 5xy^{4} + xy - 1"
         assert render_terms([("0", (("x", 2),))]) == "0"
         assert render_terms([]) == "0"
+
+
+scalars = st.one_of(rationals, st.integers(min_value=-10**30, max_value=10**30))
+
+
+class TestExactSums:
+    @given(st.lists(st.tuples(scalars, scalars), max_size=12))
+    def test_sum_of_products_matches_fraction_sum(self, pairs):
+        total = sum_of_products(pairs)
+        assert isinstance(total, Fraction)
+        assert total == sum((Fraction(x) * y for x, y in pairs), Fraction(0))
+
+    def test_sum_of_products_reduces_once(self):
+        # 1/6 + 1/3 + 1/2 over the running denominator 6 reduces to 1
+        assert sum_of_products([(F(1, 2), F(1, 3)), (1, F(1, 3)), (F(3, 4), F(2, 3))]) == 1
+        assert sum_of_products([]) == 0
+
+    @given(st.lists(st.tuples(scalars, rational_polynomials), max_size=8))
+    def test_linear_combination_matches_term_by_term_sum(self, terms):
+        expected = Polynomial()
+        for weight, p in terms:
+            expected = expected + p * weight
+        assert linear_combination(terms) == expected

@@ -5,6 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldencalc import (
+    PHI,
+    SQRT5,
+    GoldenNumber,
     Polynomial,
     TruncatedSeries,
     golden_derivative,
@@ -72,6 +75,15 @@ class TestInverse:
             TruncatedSeries([F(0), F(1)]).inverse()
         with pytest.raises(ZeroDivisionError):
             TruncatedSeries([F(0), F(1)]).inverse_newton()
+
+    def test_integer_coefficients_invert_to_fractions(self):
+        inv = TruncatedSeries([1, 1, 0]).inverse()
+        assert inv == TruncatedSeries([F(1), F(-1), F(1)])
+        assert all(type(c) is Fraction for c in inv.coeffs)
+
+    def test_inverse_over_golden_coefficients(self):
+        s = TruncatedSeries([PHI, GoldenNumber(1), SQRT5, GoldenNumber(F(2, 3))])
+        assert s * s.inverse() == TruncatedSeries.one(3, GoldenNumber(1))
 
     def test_golden_exponential_inverse_roundtrip(self):
         e = golden_exponential(8)
