@@ -3,15 +3,23 @@
 
 The O(N^2) convolution recurrence is the route the library uses; Newton
 doubling is the alternative, and it has been slower at every order
-measured (order 128 on CPython 3.11, 2-core AMD EPYC: 0.35 s against
-0.23 s).  Both must agree coefficient for coefficient, which this script
-re-asserts while timing.
+measured (order 128 on CPython 3.11, 2-core Intel Xeon: 0.07 s for the
+recurrence against 0.72 s for Newton).  Both must agree coefficient for
+coefficient, which this script re-asserts while timing.
+
+    python3 scripts/bench_series_inverse.py --orders 64 128
+
+The package is imported from this checkout's src/.
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
-from goldencalc.series import golden_exponential
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from goldencalc.series import golden_exponential  # noqa: E402  (after the path)
 
 
 def main() -> int:

@@ -6,8 +6,15 @@ Example:
 """
 
 import argparse
+import sys
+from pathlib import Path
 
-from goldencalc.cli import build_numbers_document, build_polynomial_document
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from goldencalc.cli import (  # noqa: E402  (after the path)
+    build_numbers_document,
+    build_polynomial_document,
+)
 
 
 def main() -> int:

@@ -28,6 +28,7 @@ from .fibonacci import (
     fibonomial_rec_a,
     fibonomial_rec_b,
     fibonomial_row,
+    fibonomial_rows,
     fibonomial_triangle,
     golden_power_ladders,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "fibonomial_rec_a",
     "fibonomial_rec_b",
     "fibonomial_row",
+    "fibonomial_rows",
     "fibonomial_triangle",
     "format_rational",
     "golden_binomial",

@@ -11,7 +11,11 @@ inversion for the numbers, the Fibonomial-sum recursion for the numbers,
 and the generating-function extraction for the polynomials.  They are
 cross-checked in :mod:`goldencalc.verify`, which draws all of them from one
 :class:`BernoulliFibTable` per degree.  The recursive routes never touch a
-series, and the generating-function route never reads a number.
+series, and the generating-function route never reads a number.  The
+recursive number route reads whole Fibonomial rows from the integer
+Pascal rule (:func:`~goldencalc.fibonacci.fibonomial_rows`); the series
+route never reads a Fibonomial; the polynomials use the factorial ratio
+``FibTable.fibonomial``.
 """
 
 from __future__ import annotations
@@ -19,9 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Sequence
 
-from .fibonacci import FibTable
+from .fibonacci import FibTable, fibonomial_rows
 from .polynomials import Polynomial, linear_combination
 from .rationals import sum_of_products
 from .series import TruncatedSeries
@@ -55,15 +60,16 @@ def bf_numbers_recursive(max_n: int) -> list[Fraction]:
     """b^F_0..b^F_max_n from the Fibonomial sum rule.
 
     b^F_0 = 1; for n >= 2 the sum of [n, j] b^F_j over j < n vanishes,
-    which pins down b^F_(n-1) once the earlier values are known.
+    which pins down b^F_(n-1) once the earlier values are known.  Row n
+    of Fibonomials comes from row n-1 by the integer Pascal rule, so no
+    entry is a factorial ratio and no series is touched.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    table = FibTable(max_n + 1)
     numbers: list[Fraction] = [Fraction(1)]
-    for n in range(2, max_n + 2):
-        acc = sum_of_products((table.fibonomial(n, j), numbers[j]) for j in range(n - 1))
-        numbers.append(-acc / table.fibonomial(n, n - 1))
+    for n, row in enumerate(islice(fibonomial_rows(FibTable(max_n + 1)), 2, None), 2):
+        acc = sum_of_products(zip(row[: n - 1], numbers))
+        numbers.append(-acc / row[n - 1])
     return numbers
 
 

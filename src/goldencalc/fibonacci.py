@@ -6,16 +6,21 @@ by two independent routes:
 
 - ``FibTable.fibonomial`` takes the factorial ratio with the exactness of
   the division asserted, so any arithmetic slip trips immediately instead
-  of truncating; ``verify`` and the Bernoulli layer use this definition.
-- :func:`fibonomial_triangle` builds whole rows 0..N in one pass by the
-  integer Pascal rule [n, k] = F_(k+1) [n-1, k] + F_(n-k-1) [n-1, k-1],
-  with no division at all.  Its entries are exact decimal integers
+  of truncating; ``verify``, the Bernoulli polynomials and the
+  H-polynomials use this definition.
+- The integer Pascal rule [n, k] = F_(k+1) [n-1, k] + F_(n-k-1) [n-1, k-1]
+  builds whole rows in one pass, keeping only the previous row, with no
+  division at all.  It is written once and serves two number types:
+  :func:`fibonomial_rows` yields ints (the recursive Bernoulli-Fibonacci
+  number route reads its rows there, and ``verify`` checks their
+  symmetry), and :func:`fibonomial_triangle` yields exact decimal integers
   (``Decimal`` with exponent 0 under a context that traps every rounding),
   whose digit strings cost linear time at any size.
 """
 
 from __future__ import annotations
 
+import operator
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -27,7 +32,7 @@ from decimal import (
     Rounded,
 )
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .golden import PHI, PHI_CONJUGATE, SQRT5, ExactnessError, GoldenNumber
 
@@ -102,6 +107,14 @@ def fibonomial_row(n: int) -> tuple[int, ...]:
     return FibTable(n).fibonomial_row(n)
 
 
+def fibonomial_rows(table: FibTable) -> Iterator[tuple[int, ...]]:
+    """Rows 0..table.limit of [n, k] as ints by the Pascal rule.
+
+    Lazy and keeping only the previous row; no entry is a factorial ratio.
+    """
+    return _pascal_rows(table.values, 1, operator.add, operator.mul)
+
+
 def fibonomial_triangle(max_n: int) -> Iterator[tuple[Decimal, ...]]:
     """Rows 0..max_n of [n, k] by the Pascal rule, keeping only the previous row.
 
@@ -109,16 +122,21 @@ def fibonomial_triangle(max_n: int) -> Iterator[tuple[Decimal, ...]]:
     Entries are exact decimal integers; ``str`` of one is its digits.
     """
     _require_nonnegative(max_n)
-    return _pascal_rows([Decimal(f) for f in FibTable(max_n).values])
-
-
-def _pascal_rows(fibs: list[Decimal]) -> Iterator[tuple[Decimal, ...]]:
     # integer arithmetic that never rounds: a lost digit raises instead
     exact = Context(
         prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded, InvalidOperation]
     )
-    add, mul = exact.add, exact.multiply
-    one = Decimal(1)
+    fibs = [Decimal(f) for f in FibTable(max_n).values]
+    return _pascal_rows(fibs, Decimal(1), exact.add, exact.multiply)
+
+
+_T = TypeVar("_T")
+
+
+def _pascal_rows(
+    fibs: Sequence[_T], one: _T, add: Callable[[_T, _T], _T], mul: Callable[[_T, _T], _T]
+) -> Iterator[tuple[_T, ...]]:
+    # rows 0..len(fibs)-1, with F_k = fibs[k] and arithmetic by add/mul
     row = (one,)
     yield row
     for n in range(1, len(fibs)):

@@ -108,9 +108,10 @@ class TruncatedSeries:
         """Reciprocal by Newton doubling: y <- y (2 - a y).
 
         Same exact result as :meth:`inverse`, but slower at every order
-        measured on CPython 3.11 on a 2-core AMD EPYC (order 128: 0.86 s
-        against 0.14 s for the recurrence with its one-reduction sums):
-        the full products it forms cost more than the recurrence saves.
+        measured (order 128 on CPython 3.11, 2-core Intel Xeon: 0.72 s
+        against 0.07 s for the recurrence with its one-reduction sums,
+        ``scripts/bench_series_inverse.py``): the full products it forms
+        cost more than the recurrence saves.
         Kept as a second route to cross-check :meth:`inverse`.
         """
         c0 = self.coeffs[0]

@@ -4,6 +4,7 @@ import pytest
 
 from goldencalc import (
     BernoulliFibTable,
+    FibTable,
     Polynomial,
     TruncatedSeries,
     bf_eval,
@@ -110,13 +111,21 @@ class TestNumbers:
         assert bf_numbers_series(64) == bf_numbers_recursive(64)
 
     def test_recursive_never_touches_a_series(self, monkeypatch):
+        # nor a factorial-ratio Fibonomial: its rows come from the Pascal rule
         expected = bf_numbers_series(64)
 
-        def forbidden(self):
-            raise AssertionError("the recursive route inverted a series")
+        def forbidden(*args):
+            raise AssertionError("the recursive route inverted a series or took a ratio")
 
         monkeypatch.setattr(TruncatedSeries, "inverse", forbidden)
+        monkeypatch.setattr(FibTable, "fibonomial", forbidden)
         assert bf_numbers_recursive(64) == expected
+
+    def test_cross_method_past_the_int_str_limit(self):
+        series = bf_numbers_series(210)
+        assert bf_numbers_recursive(210) == series
+        # numerators outgrow the 4300-digit int<->str limit here
+        assert max(abs(b.numerator) for b in series) > 10**4300
 
     def test_degenerate_bounds(self):
         assert bf_numbers_series(0) == [F(1)]

@@ -104,6 +104,14 @@ def test_eval_negative_point_after_double_dash(capsys):
     assert document["payload"]["value"] == format_rational(bf_eval(4, Fraction(-3, 7)))
 
 
+def test_eval_at_a_point_past_the_int_str_limit(capsys):
+    digits = "7" * 5000
+    assert cli.main(["eval", "fib", "4", "--", f"{digits}/3"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    point = Fraction(int(Decimal(digits)), 3)
+    assert document["payload"]["value"] == format_rational(bf_eval(4, point))
+
+
 def test_binomial_rendering(capsys):
     assert cli.main(["binomial", "2", "--format", "plain"]) == 0
     assert capsys.readouterr().out.strip() == "(x+y)_F^2 = x^2 + xy - y^2"

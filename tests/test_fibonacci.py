@@ -14,6 +14,7 @@ from goldencalc import (
     fibonomial_rec_a,
     fibonomial_rec_b,
     fibonomial_row,
+    fibonomial_rows,
     fibonomial_triangle,
     golden_power_ladders,
 )
@@ -159,6 +160,23 @@ class TestFibonomialTriangle:
     def test_negative_rejected_before_iteration(self):
         with pytest.raises(ValueError):
             fibonomial_triangle(-1)
+
+
+class TestFibonomialRows:
+    """Int rows of the Pascal rule, the ones the recursive number route reads."""
+
+    def test_rows_match_factorial_ratio_and_decimal_triangle_up_to_120(self):
+        table = FibTable(120)
+        rows = list(fibonomial_rows(table))
+        assert len(rows) == 121
+        for n, (row, decimal_row) in enumerate(zip(rows, fibonomial_triangle(120))):
+            assert row == table.fibonomial_row(n)
+            assert row == decimal_row
+            assert all(type(value) is int for value in row)
+
+    def test_smallest_tables(self):
+        assert list(fibonomial_rows(FibTable(0))) == [(1,)]
+        assert list(fibonomial_rows(FibTable(2))) == [(1,), (1, 1), (1, 1, 1)]
 
 
 class TestPascalRecursions:

@@ -53,6 +53,27 @@ class TestRationalWireFormat:
         assert parse_rational("-5/8") == F(-5, 8)
         assert parse_rational(" 7 ") == F(7)
 
+    def test_parse_past_the_int_str_limit(self):
+        limit = sys.get_int_max_str_digits()
+        digits = "7" * (limit + 700)
+        big = int(Decimal(digits))
+        for text in (f"{digits}/3", f"-{digits}", f"3/{digits}"):
+            assert format_rational(parse_rational(text)) == text
+        assert parse_rational(f" +{digits}/3 ") == F(big, 3)
+        assert parse_rational(f"{digits}/21") == F(big, 21)  # 7...7/21 reduces
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize(
+        "text", ["7" * 4999 + "x", "1/" + "0" * 4999, "-" * 5000, "7" * 2500 + "/-" + "7" * 2500]
+    )
+    def test_long_malformed_literal_gets_a_short_message(self, text):
+        with pytest.raises(ValueError) as info:
+            parse_rational(text)
+        message = str(info.value)
+        assert len(message) < 200
+        assert f"({len(text)} characters)" in message
+        assert text[:20] in message and text[-20:] in message
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_rational("one half")

@@ -184,6 +184,11 @@ class TestRendering:
 
 
 scalars = st.one_of(rationals, st.integers(min_value=-10**30, max_value=10**30))
+divisor_fractions = st.builds(
+    Fraction,
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.sampled_from([d for d in range(1, 721) if 720 % d == 0]),
+)
 
 
 class TestExactSums:
@@ -192,6 +197,30 @@ class TestExactSums:
         total = sum_of_products(pairs)
         assert isinstance(total, Fraction)
         assert total == sum((Fraction(x) * y for x, y in pairs), Fraction(0))
+
+    @given(st.lists(st.tuples(divisor_fractions, divisor_fractions), max_size=12))
+    def test_sum_of_products_over_shared_denominators(self, pairs):
+        # denominators drawn from the divisors of 720 often divide the running one
+        assert sum_of_products(pairs) == sum((x * y for x, y in pairs), Fraction(0))
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            # q = 6 divides the running 12: the divmod branch, quotient 2
+            [(F(1, 12), 1), (F(1, 2), F(1, 3)), (F(5, 4), F(1, 3))],
+            # q = 5, 28, 36: none divides the running denominator, which grows
+            [(F(1, 12), 1), (F(2, 5), 1), (F(3, 14), F(1, 2)), (F(1, 6), F(1, 6))],
+            # both branches, with negative factors on either side
+            [(F(-7, 12), 1), (F(1, 2), F(-1, 3)), (-3, F(1, 4)), (F(-2, 9), F(-5, 8))],
+            # ints only: the running denominator stays 1
+            [(3, 4), (-5, 6), (10**40, 10**40), (0, 7)],
+            # sums that cancel to zero
+            [(F(1, 6), F(2, 3)), (F(-1, 9), 1)],
+            [(F(5, 36), 1), (F(1, 4), F(-1, 9)), (F(-1, 9), 1)],
+        ],
+    )
+    def test_sum_of_products_on_both_branches(self, pairs):
+        assert sum_of_products(pairs) == sum((Fraction(x) * y for x, y in pairs), Fraction(0))
 
     def test_sum_of_products_reduces_once(self):
         # 1/6 + 1/3 + 1/2 over the running denominator 6 reduces to 1

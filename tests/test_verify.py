@@ -4,11 +4,14 @@ from fractions import Fraction
 import pytest
 
 from goldencalc import (
+    FibTable,
     Polynomial,
     TruncatedSeries,
     core_property_reports,
+    fibonomial_rows,
     verify_identities,
 )
+from goldencalc import verify
 from goldencalc.verify import VerificationReport, _run
 
 EXPECTED_IDENTITIES = {
@@ -62,6 +65,22 @@ def test_ranges_scale_with_bound():
     core = {r.identity: r for r in core_property_reports(8)}
     assert core["binet-matches-recurrence"].degree_max == 64
     assert core["fibonomial-symmetry"].degree_max == 16
+
+
+def test_fibonomial_symmetry_checks_the_pascal_rows(monkeypatch):
+    rows = list(fibonomial_rows(FibTable(16)))
+
+    def skewed(table):
+        for n, row in enumerate(rows):
+            yield row[:-2] + (row[-2] + 1, row[-1]) if n == 5 else row
+
+    monkeypatch.setattr(verify, "fibonomial_rows", skewed)
+    core = {r.identity: r for r in core_property_reports(4)}
+    report = core["fibonomial-symmetry"]
+    assert len(report.statuses) == 9
+    assert not report.passed
+    assert report.counterexample.degree == 5
+    assert core["fibonomial-integrality"].passed
 
 
 def test_reports_are_deterministic():
