@@ -12,10 +12,13 @@ and the generating-function extraction for the polynomials.  They are
 cross-checked in :mod:`goldencalc.verify`, which draws all of them from one
 :class:`BernoulliFibTable` per degree.  The recursive routes never touch a
 series, and the generating-function route never reads a number.  The
-recursive number route reads whole Fibonomial rows from the integer
-Pascal rule (:func:`~goldencalc.fibonacci.fibonomial_rows`); the series
-route never reads a Fibonomial; the polynomials use the factorial ratio
-``FibTable.fibonomial``.
+series route never reads a Fibonomial.  Everything else that needs one
+reads whole rows of the integer Pascal rule
+(:func:`~goldencalc.fibonacci.fibonomial_rows`), built once per degree on
+the :class:`BernoulliFibTable`: the recursive number route, the
+polynomials and the H-polynomials.  Called without a row, the polynomial
+functions fall back on the factorial ratio, through
+:func:`~goldencalc.fibonacci.fibonomial_row_or_ratio`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Sequence
 
-from .fibonacci import FibTable, fibonomial_rows
+from .fibonacci import FibTable, fibonomial_row_or_ratio, fibonomial_rows
 from .polynomials import Polynomial, linear_combination
 from .rationals import sum_of_products
 from .series import TruncatedSeries
@@ -56,18 +59,23 @@ def bf_numbers_series(max_n: int) -> list[Fraction]:
     return _numbers_from_reciprocal(reciprocal, table.factorial)
 
 
-def bf_numbers_recursive(max_n: int) -> list[Fraction]:
+def bf_numbers_recursive(
+    max_n: int, rows: Sequence[tuple[int, ...]] | None = None
+) -> list[Fraction]:
     """b^F_0..b^F_max_n from the Fibonomial sum rule.
 
     b^F_0 = 1; for n >= 2 the sum of [n, j] b^F_j over j < n vanishes,
     which pins down b^F_(n-1) once the earlier values are known.  Row n
     of Fibonomials comes from row n-1 by the integer Pascal rule, so no
-    entry is a factorial ratio and no series is touched.
+    entry is a factorial ratio and no series is touched.  Rows 0..max_n+1
+    of :func:`~goldencalc.fibonacci.fibonomial_rows` may be passed in.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
+    if rows is None:
+        rows = fibonomial_rows(FibTable(max_n + 1))
     numbers: list[Fraction] = [Fraction(1)]
-    for n, row in enumerate(islice(fibonomial_rows(FibTable(max_n + 1)), 2, None), 2):
+    for n, row in enumerate(islice(rows, 2, max_n + 2), 2):
         acc = sum_of_products(zip(row[: n - 1], numbers))
         numbers.append(-acc / row[n - 1])
     return numbers
@@ -76,19 +84,20 @@ def bf_numbers_recursive(max_n: int) -> list[Fraction]:
 def bf_polynomial(
     n: int,
     numbers: Sequence[Fraction] | None = None,
-    table: FibTable | None = None,
+    row: Sequence[int] | None = None,
 ) -> Polynomial:
-    """B^F_n(x) = sum over j of [n, j] b^F_j x^(n-j)."""
+    """B^F_n(x) = sum over j of [n, j] b^F_j x^(n-j).
+
+    ``row`` is [n, 0..n] (say from
+    :func:`~goldencalc.fibonacci.fibonomial_rows`; factorial ratios when
+    missing).
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if table is None or table.limit < n:
-        table = FibTable(n)
+    row = fibonomial_row_or_ratio(n, row)
     if numbers is None:
         numbers = bf_numbers_series(n)
-    coeffs: list = [0] * (n + 1)
-    for j in range(n + 1):
-        coeffs[n - j] = table.fibonomial(n, j) * numbers[j]
-    return Polynomial(coeffs)
+    return Polynomial(row[n - i] * numbers[n - i] for i in range(n + 1))
 
 
 def bf_polynomial_genfunc(
@@ -129,43 +138,43 @@ def bf_eval(n: int, point: Fraction | int) -> Fraction:
 def h_polynomial_sum(
     n: int,
     polynomials: Sequence[Polynomial] | None = None,
-    table: FibTable | None = None,
+    row: Sequence[int] | None = None,
 ) -> Polynomial:
     """H_n(x) as the weighted sum of lower polynomials:
 
         H_n(x) = sum over k of [n, k] B^F_(n-k)(x),
 
     equal to B^F_n(x) + F_n x^(n-1).  ``polynomials`` (B^F_0..B^F_m with
-    m >= n) and ``table`` may be shared; otherwise they are built here.
+    m >= n) and ``row`` (as in :func:`bf_polynomial`) may be shared;
+    otherwise they are built here.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if table is None or table.limit < n:
-        table = FibTable(n)
     if polynomials is None:
         numbers = bf_numbers_series(n)
-        polynomials = [bf_polynomial(m, numbers, table) for m in range(n + 1)]
-    return linear_combination(
-        (table.fibonomial(n, k), polynomials[n - k]) for k in range(n + 1)
-    )
+        polynomials = [bf_polynomial(m, numbers) for m in range(n + 1)]
+    row = fibonomial_row_or_ratio(n, row)
+    return linear_combination((row[k], polynomials[n - k]) for k in range(n + 1))
 
 
 def h_polynomial_explicit(
     n: int,
     numbers: Sequence[Fraction] | None = None,
-    table: FibTable | None = None,
+    row: Sequence[int] | None = None,
 ) -> Polynomial:
-    """H_n(x) in closed form: x^n + sum over j >= 2 of [n, j] b^F_j x^(n-j)."""
+    """H_n(x) in closed form: x^n + sum over j >= 2 of [n, j] b^F_j x^(n-j).
+
+    Takes the same optional ``numbers`` and ``row`` as :func:`bf_polynomial`.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if table is None or table.limit < n:
-        table = FibTable(n)
+    row = fibonomial_row_or_ratio(n, row)
     if numbers is None:
         numbers = bf_numbers_series(n)
     coeffs: list = [0] * (n + 1)
     coeffs[n] = Fraction(1)
     for j in range(2, n + 1):
-        coeffs[n - j] = table.fibonomial(n, j) * numbers[j]
+        coeffs[n - j] = row[j] * numbers[j]
     return Polynomial(coeffs)
 
 
@@ -208,13 +217,17 @@ def classical_bernoulli_polynomial(
 
 @dataclass(frozen=True)
 class BernoulliFibTable:
-    """Everything one degree shares, built once, for indices 0..max_n.
+    """Everything one degree N = ``max_n`` shares, built once.
 
-    ``numbers`` are read off ``reciprocal``, the inverse of
+    The polynomials are kept to N and the numbers to 2N, the ranges of
+    :func:`goldencalc.verify.verify_identities`.  ``numbers``
+    b^F_0..b^F_2N are read off ``reciprocal``, the inverse of
     (e_F(z) - 1)/z; ``recursive_numbers`` come from the Fibonomial sum rule
-    and never see a series.  ``polynomials`` B^F_0..B^F_max_n are built from
-    the numbers of the route named by ``method``.  The classical family is
-    kept alongside as the baseline.  ``table`` holds F_0..F_(max_n+1).
+    and never see a series.  ``polynomials`` B^F_0..B^F_N are built from
+    the numbers of the route named by ``method``.  The classical numbers
+    and polynomials, to N, are kept alongside as the baseline.  ``table``
+    holds F_0..F_(2N+1) and ``rows`` the Pascal-rule Fibonomial rows
+    0..2N+1 that the recursive route and the polynomials read.
     """
 
     max_n: int
@@ -225,6 +238,7 @@ class BernoulliFibTable:
     classical_numbers: tuple[Fraction, ...]
     classical_polynomials: tuple[Polynomial, ...]
     table: FibTable = field(compare=False)
+    rows: tuple[tuple[int, ...], ...] = field(compare=False)
 
     @classmethod
     def build(cls, max_n: int, method: str = "series") -> BernoulliFibTable:
@@ -232,12 +246,14 @@ class BernoulliFibTable:
             raise ValueError(f"unknown method: {method!r}")
         if max_n < 0:
             raise ValueError("max_n must be nonnegative")
-        table = FibTable(max_n + 1)
-        reciprocal = _inverse_shifted_exponential(max_n, table.factorial)
+        n_num = 2 * max_n
+        table = FibTable(n_num + 1)
+        rows = tuple(fibonomial_rows(table))
+        reciprocal = _inverse_shifted_exponential(n_num, table.factorial)
         numbers = _numbers_from_reciprocal(reciprocal, table.factorial)
-        recursive = bf_numbers_recursive(max_n)
+        recursive = bf_numbers_recursive(n_num, rows)
         source = numbers if method == "series" else recursive
-        polys = tuple(bf_polynomial(n, source, table) for n in range(max_n + 1))
+        polys = tuple(bf_polynomial(n, source, rows[n]) for n in range(max_n + 1))
         classical = classical_bernoulli_numbers(max_n)
         classical_polys = tuple(
             classical_bernoulli_polynomial(n, classical) for n in range(max_n + 1)
@@ -251,4 +267,5 @@ class BernoulliFibTable:
             tuple(classical),
             classical_polys,
             table,
+            rows,
         )

@@ -4,18 +4,24 @@ Conventions: F_0 = 0, F_1 = F_2 = 1, F_n = F_(n-1) + F_(n-2), and
 F_0! = 1 (empty product).  Fibonomials [n, k] = F_n!/(F_(n-k)! F_k!) come
 by two independent routes:
 
-- ``FibTable.fibonomial`` takes the factorial ratio with the exactness of
-  the division asserted, so any arithmetic slip trips immediately instead
-  of truncating; ``verify``, the Bernoulli polynomials and the
-  H-polynomials use this definition.
 - The integer Pascal rule [n, k] = F_(k+1) [n-1, k] + F_(n-k-1) [n-1, k-1]
   builds whole rows in one pass, keeping only the previous row, with no
   division at all.  It is written once and serves two number types:
-  :func:`fibonomial_rows` yields ints (the recursive Bernoulli-Fibonacci
-  number route reads its rows there, and ``verify`` checks their
-  symmetry), and :func:`fibonomial_triangle` yields exact decimal integers
-  (``Decimal`` with exponent 0 under a context that traps every rounding),
-  whose digit strings cost linear time at any size.
+  :func:`fibonomial_rows` yields ints, and :func:`fibonomial_triangle`
+  yields exact decimal integers (``Decimal`` with exponent 0 under a
+  context that traps every rounding), whose digit strings cost linear
+  time at any size.  ``verify`` and the Bernoulli layer build the int
+  rows once per degree and read every Fibonomial they need from them: the
+  recursive number route, the polynomials, the H-polynomials, the
+  Golden binomial and the Pascal-style recursions below.
+- The factorial ratio: ``FibTable.fibonomial`` divides with the exactness
+  of the division asserted, so any arithmetic slip trips immediately
+  instead of truncating, and ``FibTable.is_fibonomial`` tests a value
+  against the ratio by one exact multiplication.  ``verify`` compares
+  every Pascal row entry with the ratio once, in its
+  ``fibonomial-integrality`` check; the library functions that take an
+  optional row fall back on the ratio, through
+  :func:`fibonomial_row_or_ratio`, when none is passed.
 """
 
 from __future__ import annotations
@@ -79,6 +85,10 @@ class FibTable:
         if remainder:
             raise ExactnessError(f"inexact Fibonomial division for n={n}, k={k}")
         return quotient
+
+    def is_fibonomial(self, n: int, k: int, value: int) -> bool:
+        """Whether ``value`` is F_n!/(F_(n-k)! F_k!), by multiplying instead of dividing."""
+        return value * (self.factorials[n - k] * self.factorials[k]) == self.factorials[n]
 
     def fibonomial_row(self, n: int) -> tuple[int, ...]:
         return tuple(self.fibonomial(n, k) for k in range(n + 1))
@@ -176,38 +186,45 @@ def golden_power_ladders(m: int) -> PowerLadders:
     return tuple(phi_powers), tuple(conjugate_powers)
 
 
+def fibonomial_row_or_ratio(n: int, row: Sequence[int] | None) -> Sequence[int]:
+    """[n, 0..n]: ``row`` when it is passed, else factorial ratios from a fresh table.
+
+    The one default of every function that takes an optional Fibonomial row.
+    """
+    return FibTable(n).fibonomial_row(n) if row is None else row
+
+
 def fibonomial_rec_a(
-    n: int, k: int, table: FibTable | None = None, ladders: PowerLadders | None = None
+    n: int, k: int, row: Sequence[int] | None = None, ladders: PowerLadders | None = None
 ) -> GoldenNumber:
     """(-1/phi)^k [n-1, k] + phi^(n-k) [n-1, k-1], exactly in Q(sqrt5).
 
-    ``table`` (limit >= n-1) and ``ladders`` (from
-    :func:`golden_power_ladders` with m >= n-1) may be shared across calls.
+    ``row`` is [n-1, 0..n-1] (say from :func:`fibonomial_rows`; factorial
+    ratios when missing) and ``ladders`` come from
+    :func:`golden_power_ladders` with m >= n-1; both may be shared.
     """
-    table, (phi_powers, conjugate_powers) = _rec_inputs(n, k, table, ladders)
-    return conjugate_powers[k] * table.fibonomial(n - 1, k) + phi_powers[n - k] * table.fibonomial(n - 1, k - 1)
+    row, (phi_powers, conjugate_powers) = _rec_inputs(n, k, row, ladders)
+    return conjugate_powers[k] * row[k] + phi_powers[n - k] * row[k - 1]
 
 
 def fibonomial_rec_b(
-    n: int, k: int, table: FibTable | None = None, ladders: PowerLadders | None = None
+    n: int, k: int, row: Sequence[int] | None = None, ladders: PowerLadders | None = None
 ) -> GoldenNumber:
     """phi^k [n-1, k] + (-1/phi)^(n-k) [n-1, k-1], exactly in Q(sqrt5).
 
-    Takes the same optional ``table`` and ``ladders`` as :func:`fibonomial_rec_a`.
+    Takes the same optional ``row`` and ``ladders`` as :func:`fibonomial_rec_a`.
     """
-    table, (phi_powers, conjugate_powers) = _rec_inputs(n, k, table, ladders)
-    return phi_powers[k] * table.fibonomial(n - 1, k) + conjugate_powers[n - k] * table.fibonomial(n - 1, k - 1)
+    row, (phi_powers, conjugate_powers) = _rec_inputs(n, k, row, ladders)
+    return phi_powers[k] * row[k] + conjugate_powers[n - k] * row[k - 1]
 
 
 def _rec_inputs(
-    n: int, k: int, table: FibTable | None, ladders: PowerLadders | None
-) -> tuple[FibTable, PowerLadders]:
+    n: int, k: int, row: Sequence[int] | None, ladders: PowerLadders | None
+) -> tuple[Sequence[int], PowerLadders]:
     _require_inner(n, k)
-    if table is None or table.limit < n - 1:
-        table = FibTable(n - 1)
     if ladders is None or len(ladders[0]) < n:
         ladders = golden_power_ladders(n - 1)
-    return table, ladders
+    return fibonomial_row_or_ratio(n - 1, row), ladders
 
 
 def _require_nonnegative(n: int) -> None:

@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
-from .fibonacci import FibTable
+from .fibonacci import FibTable, fibonomial_row_or_ratio
 from .golden import PHI, ExactnessError, GoldenNumber
 from .rationals import format_rational, latex_rational, sum_of_products
 
@@ -218,14 +218,17 @@ def binomial_factors(n: int, k: int) -> tuple[tuple[str, int], ...]:
     return (("x", n - k), ("y", k))
 
 
-def golden_binomial(n: int) -> GoldenBinomialExpansion:
-    """Expansion of (x + y)_F^n: term k carries (-1)^(k(k-1)/2) [n, k]."""
+def golden_binomial(n: int, row: Sequence[int] | None = None) -> GoldenBinomialExpansion:
+    """Expansion of (x + y)_F^n: term k carries (-1)^(k(k-1)/2) [n, k].
+
+    The Fibonomials [n, 0..n] come from ``row`` when it is passed (say from
+    :func:`~goldencalc.fibonacci.fibonomial_rows`), else as factorial ratios.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    table = FibTable(n)
+    row = fibonomial_row_or_ratio(n, row)
     terms = tuple(
-        BinomialTerm(k, -1 if (k * (k - 1) // 2) % 2 else 1, table.fibonomial(n, k))
-        for k in range(n + 1)
+        BinomialTerm(k, -1 if (k * (k - 1) // 2) % 2 else 1, row[k]) for k in range(n + 1)
     )
     return GoldenBinomialExpansion(n, terms)
 

@@ -12,11 +12,16 @@ number-level identities to 2N, and the Binet cross-check to 8N, so the
 default N = 32 exercises degrees 32/64/256 respectively.
 
 Shared work is built once per degree.  The Bernoulli layer draws every
-identity from one :class:`~goldencalc.bernoulli.BernoulliFibTable` over
-0..2N: one Fibonacci table, one reciprocal of (e_F(z) - 1)/z, both number
-routes, B^F_0..B^F_2N and the classical baseline.  The core layer shares
-one Fibonacci table over 0..8N and the power ladders phi^0..phi^N and
-(-1/phi)^0..(-1/phi)^N across every Pascal-recursion check.
+identity from one :class:`~goldencalc.bernoulli.BernoulliFibTable`: one
+Fibonacci table, the Pascal-rule Fibonomial rows 0..2N+1, one reciprocal
+of (e_F(z) - 1)/z and both number routes over 0..2N, and B^F_0..B^F_N
+with the classical numbers and polynomials over 0..N, since no identity
+reads a polynomial above N.  The core layer shares one Fibonacci table
+over 0..8N, its own Pascal rows 0..2N, and the power ladders
+phi^0..phi^N and (-1/phi)^0..(-1/phi)^N across every Pascal-recursion
+check.  Every Fibonomial either layer reads comes from its rows; the
+factorial ratio, the second Fibonomial route, is met once per entry, in
+``fibonomial-integrality``.
 """
 
 from __future__ import annotations
@@ -108,8 +113,9 @@ def verify_identities(max_degree: int) -> list[VerificationReport]:
     n_poly = max_degree
     n_num = 2 * max_degree
 
-    memo = BernoulliFibTable.build(n_num)
+    memo = BernoulliFibTable.build(max_degree)
     fib_table = memo.table
+    rows = memo.rows
     series_numbers = memo.numbers
     recursive_numbers = memo.recursive_numbers
     polys = memo.polynomials
@@ -118,9 +124,7 @@ def verify_identities(max_degree: int) -> list[VerificationReport]:
 
     def number_sum_items():
         for n in range(2, n_num + 1):
-            total = sum_of_products(
-                (fib_table.fibonomial(n, j), series_numbers[j]) for j in range(n)
-            )
+            total = sum_of_products(zip(rows[n][:n], series_numbers))
             yield n, total, 0
 
     def classical_sum_items():
@@ -157,7 +161,7 @@ def verify_identities(max_degree: int) -> list[VerificationReport]:
             "fibonomial-sum-recursion",
             1,
             n_poly,
-            _summation_items(polys, fib_table, n_poly),
+            _summation_items(polys, rows, fib_table, n_poly),
         ),
         _run("number-sum-vanishes", 2, n_num, number_sum_items()),
         _run(
@@ -173,8 +177,8 @@ def verify_identities(max_degree: int) -> list[VerificationReport]:
             (
                 (
                     n,
-                    h_polynomial_sum(n, polys, fib_table),
-                    h_polynomial_explicit(n, series_numbers, fib_table),
+                    h_polynomial_sum(n, polys, row=rows[n]),
+                    h_polynomial_explicit(n, series_numbers, row=rows[n]),
                 )
                 for n in range(1, n_poly + 1)
             ),
@@ -186,7 +190,7 @@ def verify_identities(max_degree: int) -> list[VerificationReport]:
             (
                 (
                     n,
-                    h_polynomial_explicit(n, series_numbers, fib_table),
+                    h_polynomial_explicit(n, series_numbers, row=rows[n]),
                     polys[n]
                     + Polynomial.monomial(n - 1, Fraction(fib_table.fib(n))),
                 )
@@ -197,8 +201,11 @@ def verify_identities(max_degree: int) -> list[VerificationReport]:
             "constant-term-equals-number",
             0,
             n_num,
+            # F_n! r_n off the shared reciprocal, the x^0 coefficient the
+            # genfunc route would give; this is how memo.numbers is read, so
+            # it re-derives the series numbers of numbers-cross-method
             (
-                (n, polys[n].constant_term, series_numbers[n])
+                (n, fib_table.factorial(n) * memo.reciprocal.coefficient(n), recursive_numbers[n])
                 for n in range(n_num + 1)
             ),
         ),
@@ -231,10 +238,10 @@ def verify_identities(max_degree: int) -> list[VerificationReport]:
 
 
 def _summation_items(
-    polys, fib_table: FibTable, n_poly: int
+    polys, rows, fib_table: FibTable, n_poly: int
 ) -> Iterator[tuple[int, Polynomial, Polynomial]]:
     for n in range(1, n_poly + 1):
-        acc = linear_combination((fib_table.fibonomial(n, l), polys[l]) for l in range(n))
+        acc = linear_combination(zip(rows[n][:n], polys))
         yield n, acc, Polynomial.monomial(n - 1, Fraction(fib_table.fib(n)))
 
 
@@ -245,6 +252,7 @@ def core_property_reports(max_degree: int) -> list[VerificationReport]:
     n_binet = 8 * max_degree
     n_fibonomial = 2 * max_degree
     table = FibTable(n_binet)
+    rows = list(islice(fibonomial_rows(table), n_fibonomial + 1))
     ladders = golden_power_ladders(max_degree)
 
     def binet_items():
@@ -253,27 +261,31 @@ def core_property_reports(max_degree: int) -> list[VerificationReport]:
 
     def symmetry_items():
         # the Pascal rule treats k and n-k differently, so this check can fail
-        for n, row in enumerate(islice(fibonomial_rows(table), n_fibonomial + 1)):
+        for n, row in enumerate(rows):
             ok = row == row[::-1]
             yield n, "symmetric" if ok else "asymmetric", "symmetric"
 
     def integrality_items():
-        for n in range(n_fibonomial + 1):
-            ok = all(
-                Fraction(
-                    table.factorial(n), table.factorial(n - k) * table.factorial(k)
-                ).denominator
-                == 1
-                for k in range(n + 1)
-            )
-            yield n, "integral" if ok else "fractional", "integral"
+        # each int row entry against the factorial ratio: proves the ratio
+        # integral and cross-checks the two Fibonomial routes
+        for n, row in enumerate(rows):
+            k = next((k for k in range(n + 1) if not table.is_fibonomial(n, k, row[k])), None)
+            if k is None:
+                yield n, "integral", "integral"
+            else:
+                ratio = Fraction(table.factorial(n), table.factorial(n - k) * table.factorial(k))
+                yield (
+                    n,
+                    f"k={k}: {format_rational(row[k])}",
+                    f"k={k}: F_{n}!/(F_{n - k}! F_{k}!) = {format_rational(ratio)}",
+                )
 
     def pascal_items(rule):
         for n in range(2, max_degree + 1):
             bad = None
             for k in range(1, n):
-                got = rule(n, k, table, ladders)
-                want = GoldenNumber.from_rational(table.fibonomial(n, k))
+                got = rule(n, k, ladders=ladders, row=rows[n - 1])
+                want = GoldenNumber.from_rational(rows[n][k])
                 if got != want:
                     bad = (k, got, want)
                     break
@@ -283,13 +295,10 @@ def core_property_reports(max_degree: int) -> list[VerificationReport]:
                 yield n, f"k={bad[0]}: {bad[1]}", f"k={bad[0]}: {bad[2]}"
 
     def binomial_sign_items():
-        for n in range(n_fibonomial + 1):
-            expansion = golden_binomial(n)
-            ok = all(
-                term.sign == (1 if term.k % 4 in (0, 1) else -1)
-                and term.coefficient == table.fibonomial(n, term.k)
-                for term in expansion.terms
-            )
+        for n, row in enumerate(rows):
+            # signs only: each coefficient is the row entry it was built from
+            expansion = golden_binomial(n, row)
+            ok = all(term.sign == (1 if term.k % 4 in (0, 1) else -1) for term in expansion.terms)
             yield n, "signed" if ok else "mis-signed", "signed"
 
     def derivative_oracle_items():

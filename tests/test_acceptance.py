@@ -100,7 +100,7 @@ def test_criterion_3_published_polynomials():
 def test_criterion_4_identity_suite_at_32(capsys):
     fib_table = FibTable(65)
     numbers = bf_numbers_series(64)
-    polys = [bf_polynomial(n, numbers, fib_table) for n in range(33)]
+    polys = [bf_polynomial(n, numbers) for n in range(33)]
 
     derivative_ok = all(
         golden_derivative(polys[n]) == polys[n - 1] * fib_table.fib(n)

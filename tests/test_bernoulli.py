@@ -16,6 +16,7 @@ from goldencalc import (
     classical_bernoulli_numbers_recursive,
     classical_bernoulli_polynomial,
     fib,
+    fibonomial_rows,
     h_polynomial_explicit,
     h_polynomial_sum,
 )
@@ -127,6 +128,11 @@ class TestNumbers:
         # numerators outgrow the 4300-digit int<->str limit here
         assert max(abs(b.numerator) for b in series) > 10**4300
 
+    def test_recursive_reads_passed_rows(self):
+        rows = tuple(fibonomial_rows(FibTable(41)))
+        assert bf_numbers_recursive(40, rows) == bf_numbers_recursive(40)
+        assert bf_numbers_recursive(12, rows) == bf_numbers_recursive(12)
+
     def test_degenerate_bounds(self):
         assert bf_numbers_series(0) == [F(1)]
         assert bf_numbers_recursive(0) == [F(1)]
@@ -159,6 +165,22 @@ class TestPolynomials:
         numbers = bf_numbers_series(24)
         for n in range(25):
             assert bf_polynomial(n, numbers).constant_term == numbers[n]
+
+    def test_rows_replace_the_factorial_ratio(self, monkeypatch):
+        numbers = bf_numbers_series(20)
+        expected = [bf_polynomial(n, numbers) for n in range(21)]
+        h_expected = [h_polynomial_sum(n) for n in range(1, 21)]
+        rows = list(fibonomial_rows(FibTable(20)))
+
+        def forbidden(*args):
+            raise AssertionError("a factorial-ratio Fibonomial was taken")
+
+        monkeypatch.setattr(FibTable, "fibonomial", forbidden)
+        for n in range(21):
+            assert bf_polynomial(n, numbers, row=rows[n]) == expected[n]
+        for n in range(1, 21):
+            assert h_polynomial_sum(n, expected, row=rows[n]) == h_expected[n - 1]
+            assert h_polynomial_explicit(n, numbers, row=rows[n]) == h_expected[n - 1]
 
     def test_genfunc_route_agrees(self):
         for n in range(17):
@@ -242,11 +264,11 @@ class TestHPolynomials:
             assert h_polynomial_sum(n) == expected
 
     def test_shared_inputs_give_the_same_polynomials(self):
-        memo = BernoulliFibTable.build(24)
+        memo = BernoulliFibTable.build(12)
         for n in range(1, 13):
             expected = h_polynomial_sum(n)
-            assert h_polynomial_sum(n, memo.polynomials, memo.table) == expected
-            assert h_polynomial_explicit(n, memo.numbers, memo.table) == expected
+            assert h_polynomial_sum(n, memo.polynomials, memo.rows[n]) == expected
+            assert h_polynomial_explicit(n, memo.numbers, memo.rows[n]) == expected
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -307,7 +329,7 @@ class TestBernoulliFibTable:
     def test_build_consistency(self):
         table = BernoulliFibTable.build(12)
         assert table.max_n == 12
-        assert list(table.numbers) == bf_numbers_series(12)
+        assert list(table.numbers) == bf_numbers_series(24)
         for n in range(13):
             assert table.polynomials[n].constant_term == table.numbers[n]
             assert table.polynomials[n].degree == n
@@ -319,11 +341,26 @@ class TestBernoulliFibTable:
         with pytest.raises(ValueError):
             BernoulliFibTable.build(4, "floating")
 
+    def test_builds_the_pascal_rows_once(self, monkeypatch):
+        calls = []
+        rows = bernoulli.fibonomial_rows
+
+        def counted(table):
+            calls.append(table.limit)
+            return rows(table)
+
+        monkeypatch.setattr(bernoulli, "fibonomial_rows", counted)
+        BernoulliFibTable.build(16)
+        assert calls == [33]
+
     def test_holds_every_route_of_one_degree(self):
+        # polynomials to the degree, numbers to twice it
         memo = BernoulliFibTable.build(12)
-        assert memo.table.limit == 13
-        assert memo.reciprocal.order == 12
-        assert list(memo.recursive_numbers) == bf_numbers_recursive(12)
+        assert memo.table.limit == 25
+        assert memo.reciprocal.order == 24
+        assert memo.rows == tuple(fibonomial_rows(FibTable(25)))
+        assert list(memo.recursive_numbers) == bf_numbers_recursive(24)
+        assert len(memo.polynomials) == len(memo.classical_polynomials) == 13
         assert list(memo.classical_numbers) == classical_bernoulli_numbers(12)
         for n in range(13):
             assert memo.classical_polynomials[n] == classical_bernoulli_polynomial(n)

@@ -179,6 +179,16 @@ class TestFibonomialRows:
         assert list(fibonomial_rows(FibTable(2))) == [(1,), (1, 1), (1, 1, 1)]
 
 
+class TestFactorialRatioCheck:
+    def test_accepts_exactly_the_fibonomial(self):
+        table = FibTable(40)
+        for n in range(41):
+            for k in range(n + 1):
+                value = table.fibonomial(n, k)
+                assert table.is_fibonomial(n, k, value)
+                assert not table.is_fibonomial(n, k, value + 1)
+
+
 class TestPascalRecursions:
     def test_trivial_inner_cell(self):
         value = fibonomial_rec_a(2, 1)
@@ -200,13 +210,15 @@ class TestPascalRecursions:
                 assert b.is_rational and b == expected
 
     def test_shared_table_and_ladders(self):
+        # Pascal rows in, factorial ratios as the expected values
         table = FibTable(64)
+        rows = list(fibonomial_rows(FibTable(31)))
         ladders = golden_power_ladders(32)
         for n in range(2, 33):
             for k in range(1, n):
                 expected = table.fibonomial(n, k)
-                assert fibonomial_rec_a(n, k, table, ladders) == expected
-                assert fibonomial_rec_b(n, k, table, ladders) == expected
+                assert fibonomial_rec_a(n, k, rows[n - 1], ladders) == expected
+                assert fibonomial_rec_b(n, k, rows[n - 1], ladders) == expected
 
     def test_ladders_match_powers(self):
         phi_powers, conjugate_powers = golden_power_ladders(20)

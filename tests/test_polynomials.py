@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from goldencalc import (
     PHI,
     ExactnessError,
+    FibTable,
     GoldenNumber,
     Polynomial,
+    fibonomial_rows,
     golden_binomial,
     golden_derivative,
     golden_derivative_dilatation,
@@ -155,6 +157,11 @@ class TestGoldenBinomial:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             golden_binomial(-1)
+
+    def test_reads_a_passed_row(self):
+        rows = list(fibonomial_rows(FibTable(12)))
+        for n, row in enumerate(rows):
+            assert golden_binomial(n, row) == golden_binomial(n)
 
 
 class TestRendering:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from goldencalc import (
+    BernoulliFibTable,
     FibTable,
     Polynomial,
     TruncatedSeries,
@@ -11,7 +12,7 @@ from goldencalc import (
     fibonomial_rows,
     verify_identities,
 )
-from goldencalc import verify
+from goldencalc import bernoulli, verify
 from goldencalc.verify import VerificationReport, _run
 
 EXPECTED_IDENTITIES = {
@@ -80,7 +81,69 @@ def test_fibonomial_symmetry_checks_the_pascal_rows(monkeypatch):
     assert len(report.statuses) == 9
     assert not report.passed
     assert report.counterexample.degree == 5
-    assert core["fibonomial-integrality"].passed
+    # the skewed entry [5, 4] no longer matches the factorial ratio either
+    integrality = core["fibonomial-integrality"]
+    assert not integrality.passed
+    assert integrality.counterexample.degree == 5
+    assert integrality.counterexample.lhs == "k=4: 6"
+
+
+def test_fibonomial_integrality_checks_the_factorial_ratio(monkeypatch):
+    is_fibonomial = FibTable.is_fibonomial
+
+    def off_by_one(self, n, k, value):
+        # the factorial-ratio route says [9, 4] is one more than it is
+        return is_fibonomial(self, n, k, value - 1 if (n, k) == (9, 4) else value)
+
+    monkeypatch.setattr(FibTable, "is_fibonomial", off_by_one)
+    core = {r.identity: r for r in core_property_reports(8)}
+    report = core["fibonomial-integrality"]
+    assert not report.passed
+    assert report.statuses.count(False) == 1
+    assert report.counterexample.degree == 9
+    assert all(r.passed for name, r in core.items() if name != "fibonomial-integrality")
+
+
+def test_constant_term_compares_genfunc_with_the_recursive_route(monkeypatch):
+    recursive = bernoulli.bf_numbers_recursive
+
+    def corrupted(*args, **kwargs):
+        numbers = recursive(*args, **kwargs)
+        numbers[10] += Fraction(1, 7)
+        return numbers
+
+    monkeypatch.setattr(bernoulli, "bf_numbers_recursive", corrupted)
+    reports = {r.identity: r for r in verify_identities(8)}
+    report = reports["constant-term-equals-number"]
+    assert not report.passed
+    assert report.statuses.count(False) == 1
+    assert report.counterexample.degree == 10
+
+
+def test_no_factorial_ratio_outside_the_integrality_check(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a factorial-ratio Fibonomial was taken")
+
+    monkeypatch.setattr(FibTable, "fibonomial", forbidden)
+    assert all(report.passed for report in verify_identities(16))
+    assert all(report.passed for report in core_property_reports(16))
+
+
+def test_polynomials_are_built_only_to_the_polynomial_degree(monkeypatch):
+    built = []
+    build = BernoulliFibTable.build
+
+    def capture(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(BernoulliFibTable, "build", capture)
+    assert all(report.passed for report in verify_identities(8))
+    (memo,) = built
+    assert len(memo.polynomials) == len(memo.classical_polynomials) == 9
+    assert len(memo.classical_numbers) == 9
+    assert len(memo.numbers) == len(memo.recursive_numbers) == 17
+    assert len(memo.rows) == 18
 
 
 def test_reports_are_deterministic():
