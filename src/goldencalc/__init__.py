@@ -41,8 +41,8 @@ from .polynomials import (
     golden_derivative,
     golden_derivative_dilatation,
 )
-from .rationals import ExactRational, format_rational, parse_rational
-from .series import TruncatedSeries, golden_exponential, golden_exponential_in_x
+from .rationals import format_rational, parse_rational
+from .series import TruncatedSeries, golden_exponential
 from .verify import (
     Counterexample,
     VerificationReport,
@@ -56,7 +56,6 @@ __all__ = [
     "BernoulliFibTable",
     "BinomialTerm",
     "Counterexample",
-    "ExactRational",
     "ExactnessError",
     "FibTable",
     "GoldenBinomialExpansion",
@@ -90,7 +89,6 @@ __all__ = [
     "golden_derivative",
     "golden_derivative_dilatation",
     "golden_exponential",
-    "golden_exponential_in_x",
     "golden_power_ladders",
     "h_polynomial_explicit",
     "h_polynomial_sum",

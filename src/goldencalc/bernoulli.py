@@ -12,8 +12,11 @@ and the generating-function extraction for the polynomials.  They are
 cross-checked in :mod:`goldencalc.verify`, which draws all of them from one
 :class:`BernoulliFibTable` per degree.  The recursive routes never touch a
 series, and the generating-function route never reads a number.  The
-series route never reads a Fibonomial.  Everything else that needs one
-reads whole rows of the integer Pascal rule
+series route never reads a Fibonomial.  The table builds its polynomials
+from the recursive numbers, so each identity that sets them against the
+reciprocal (the generating-function route, or the numbers read off it)
+compares two routes.  Everything else that needs a Fibonomial reads whole
+rows of the integer Pascal rule
 (:func:`~goldencalc.fibonacci.fibonomial_rows`), built once per degree on
 the :class:`BernoulliFibTable`: the recursive number route, the
 polynomials and the H-polynomials.  Called without a row, the polynomial
@@ -114,16 +117,15 @@ def bf_polynomial_genfunc(
         B^F_n(x) = sum over k of (F_n!/F_k!) r_(n-k) x^k.
 
     Independent of :func:`bf_polynomial`: no Bernoulli-Fibonacci number is
-    computed along the way.  A shared ``reciprocal`` (order >= n) and
-    ``table`` (limit >= n) may be passed in; otherwise both are built here.
+    computed along the way.  Pass both or neither of a shared
+    ``reciprocal`` (order >= n) and its ``table`` (limit >= n); when either
+    is missing, both are built here.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if reciprocal is None or reciprocal.order < n:
+    if reciprocal is None or table is None:
         table = FibTable(n + 1)
         reciprocal = _inverse_shifted_exponential(n, table.factorial)
-    elif table is None or table.limit < n:
-        table = FibTable(n)
     top = table.factorial(n)
     return Polynomial(
         top // table.factorial(k) * reciprocal.coefficient(n - k) for k in range(n + 1)
@@ -224,8 +226,9 @@ class BernoulliFibTable:
     b^F_0..b^F_2N are read off ``reciprocal``, the inverse of
     (e_F(z) - 1)/z; ``recursive_numbers`` come from the Fibonomial sum rule
     and never see a series.  ``polynomials`` B^F_0..B^F_N are built from
-    the numbers of the route named by ``method``.  The classical numbers
-    and polynomials, to N, are kept alongside as the baseline.  ``table``
+    the recursive numbers, so they share nothing with the reciprocal that
+    ``numbers`` and :func:`bf_polynomial_genfunc` read.  The classical
+    numbers and polynomials, to N, are kept alongside as the baseline.  ``table``
     holds F_0..F_(2N+1) and ``rows`` the Pascal-rule Fibonomial rows
     0..2N+1 that the recursive route and the polynomials read.
     """
@@ -241,9 +244,7 @@ class BernoulliFibTable:
     rows: tuple[tuple[int, ...], ...] = field(compare=False)
 
     @classmethod
-    def build(cls, max_n: int, method: str = "series") -> BernoulliFibTable:
-        if method not in ("series", "recursive"):
-            raise ValueError(f"unknown method: {method!r}")
+    def build(cls, max_n: int) -> BernoulliFibTable:
         if max_n < 0:
             raise ValueError("max_n must be nonnegative")
         n_num = 2 * max_n
@@ -252,8 +253,7 @@ class BernoulliFibTable:
         reciprocal = _inverse_shifted_exponential(n_num, table.factorial)
         numbers = _numbers_from_reciprocal(reciprocal, table.factorial)
         recursive = bf_numbers_recursive(n_num, rows)
-        source = numbers if method == "series" else recursive
-        polys = tuple(bf_polynomial(n, source, rows[n]) for n in range(max_n + 1))
+        polys = tuple(bf_polynomial(n, recursive, rows[n]) for n in range(max_n + 1))
         classical = classical_bernoulli_numbers(max_n)
         classical_polys = tuple(
             classical_bernoulli_polynomial(n, classical) for n in range(max_n + 1)

@@ -12,8 +12,9 @@ A negative point such as -3/7 would be read as an option, so it goes
 after "--", with every option before it.
 
 Exit codes: 0 on success, 1 when `verify` finds a broken identity,
-2 on usage errors, 3 on an unexpected internal error (reported in one
-line on stderr).  Output goes to stdout unless --out is given.
+2 on usage errors (an --out path that cannot be written is one, reported
+in one line on stderr), 3 on an unexpected internal error (also one line
+on stderr).  Output goes to stdout unless --out is given.
 """
 
 from __future__ import annotations
@@ -219,8 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(document: OutputDocument, fmt: str, out: str | None) -> None:
-    text = document.render(fmt) + "\n"
+def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
@@ -248,11 +248,18 @@ def main(argv: list[str] | None = None) -> int:
             document = build_binomial_document(args.n)
         else:  # argparse allows only "verify" here
             document = build_verification_document(args.max_degree)
-        _emit(document, args.format, args.out)
+        text = document.render(args.format) + "\n"
     except Exception as exc:
         # a bug must not exit 1, which reads as a failed identity
         print(f"goldencalc: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    try:
+        _emit(text, args.out)
+    except OSError as exc:
+        # an unwritable --out path (or a closed stdout) is not a bug
+        target = args.out or "stdout"
+        print(f"goldencalc: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     failed = document.kind == "verification" and not document.metadata["all_passed"]
     return 1 if failed else 0
 

@@ -222,7 +222,7 @@ def _rec_inputs(
     n: int, k: int, row: Sequence[int] | None, ladders: PowerLadders | None
 ) -> tuple[Sequence[int], PowerLadders]:
     _require_inner(n, k)
-    if ladders is None or len(ladders[0]) < n:
+    if ladders is None:
         ladders = golden_power_ladders(n - 1)
     return fibonomial_row_or_ratio(n - 1, row), ladders
 

@@ -18,8 +18,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
-ExactRational = Fraction
-
 # the "p" / "p/q" wire form, for literals too long for Fraction(str)
 _LITERAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 _EXCERPT = 20  # characters kept from each end of a long literal in an error

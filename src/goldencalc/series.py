@@ -1,9 +1,11 @@
 """Truncated formal power series: exact arithmetic modulo z^(order+1).
 
-A series of order N stores exactly N+1 coefficients c_0..c_N.  The
-coefficient ring is duck-typed: Fraction for scalar series, Polynomial
-for series in z whose coefficients are polynomials in x (z is always the
-outer variable).
+A series of order N stores exactly N+1 coefficients c_0..c_N, rational
+(int or Fraction) for every series the library builds: the Golden
+exponential e_F(z) and the shifted exponentials the Bernoulli layer
+inverts.  The ring operations are the ones those need, the product of two
+series and the reciprocal; the reciprocal also works over
+:class:`~goldencalc.golden.GoldenNumber` coefficients.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from fractions import Fraction
 from typing import Iterable
 
 from .fibonacci import FibTable
-from .polynomials import Polynomial
 from .rationals import sum_of_products
 
 
@@ -26,8 +27,8 @@ class TruncatedSeries:
         self.coeffs = coeffs
 
     @classmethod
-    def one(cls, order: int, one=Fraction(1)) -> TruncatedSeries:
-        return cls((one,) + (one * 0,) * order)
+    def one(cls, order: int) -> TruncatedSeries:
+        return cls((Fraction(1),) + (Fraction(0),) * order)
 
     @property
     def order(self) -> int:
@@ -54,31 +55,11 @@ class TruncatedSeries:
                 f"series orders differ: {self.order} vs {other.order}"
             )
 
-    def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries(-c for c in self.coeffs)
-
-    def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
+    def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
-        return TruncatedSeries(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_order(other)
-        return TruncatedSeries(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __mul__(self, other: object) -> TruncatedSeries:
-        if isinstance(other, TruncatedSeries):
-            self._check_order(other)
-            return TruncatedSeries(
-                _convolve(self.coeffs, other.coeffs, len(self.coeffs))
-            )
-        return TruncatedSeries(c * other for c in self.coeffs)
-
-    def __rmul__(self, other: object) -> TruncatedSeries:
-        return self * other
+        return TruncatedSeries(_convolve(self.coeffs, other.coeffs, len(self.coeffs)))
 
     def inverse(self) -> TruncatedSeries:
         """Reciprocal modulo z^(order+1) by the convolution recurrence.
@@ -146,15 +127,4 @@ def golden_exponential(order: int) -> TruncatedSeries:
     table = FibTable(order)
     return TruncatedSeries(
         Fraction(1, table.factorial(n)) for n in range(order + 1)
-    )
-
-
-def golden_exponential_in_x(order: int) -> TruncatedSeries:
-    """e_F(zx) as a series in z: the z^n coefficient is the monomial x^n/F_n!."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    table = FibTable(order)
-    return TruncatedSeries(
-        Polynomial.monomial(n, Fraction(1, table.factorial(n)))
-        for n in range(order + 1)
     )

@@ -22,6 +22,18 @@ phi^0..phi^N and (-1/phi)^0..(-1/phi)^N across every Pascal-recursion
 check.  Every Fibonomial either layer reads comes from its rows; the
 factorial ratio, the second Fibonomial route, is met once per entry, in
 ``fibonomial-integrality``.
+
+The table's polynomials come from the recursive numbers, while the series
+numbers and the generating-function polynomials are read off the
+reciprocal.  So ``polynomials-cross-method``,
+``value-at-one-equals-number``, ``h-polynomial-two-derivations`` and
+``h-polynomial-closed-form`` each set the recursive route against the
+series route, as ``numbers-cross-method`` and
+``constant-term-equals-number`` do number by number.  The sum rule is
+checked on each route alone: ``number-sum-vanishes`` on the series
+numbers, ``fibonomial-sum-recursion`` on the polynomials.  The two
+derivative identities hold for any number sequence (the Appell
+property), so they check the polynomial structure, not the numbers.
 """
 
 from __future__ import annotations

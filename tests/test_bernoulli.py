@@ -331,15 +331,9 @@ class TestBernoulliFibTable:
         assert table.max_n == 12
         assert list(table.numbers) == bf_numbers_series(24)
         for n in range(13):
+            # built from the recursive numbers, checked against the series ones
             assert table.polynomials[n].constant_term == table.numbers[n]
             assert table.polynomials[n].degree == n
-
-    def test_build_recursive_method(self):
-        assert BernoulliFibTable.build(8, "recursive") == BernoulliFibTable.build(8)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            BernoulliFibTable.build(4, "floating")
 
     def test_builds_the_pascal_rows_once(self, monkeypatch):
         calls = []

@@ -187,6 +187,14 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "goldencalc: internal error: RuntimeError: boom\n"
 
+    def test_out_into_a_missing_directory_is_a_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "numbers.json"
+        assert cli.main(["numbers", "fib", "3", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"goldencalc: cannot write {target}: No such file or directory\n"
+        assert not target.parent.exists()
+
     def test_success_is_0(self, capsys):
         assert cli.main(["fibonomial", "0", "--format", "plain"]) == 0
         capsys.readouterr()

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 
@@ -118,6 +119,77 @@ def test_constant_term_compares_genfunc_with_the_recursive_route(monkeypatch):
     assert not report.passed
     assert report.statuses.count(False) == 1
     assert report.counterexample.degree == 10
+
+
+# The Appell property D B_n = c_n B_(n-1) holds for any number sequence, so
+# no fault in a number route can turn the two derivative identities red.
+APPELL_IDENTITIES = {"golden-derivative-lowers-degree", "classical-derivative-lowers-degree"}
+
+# identities that set the series route against the recursive route
+ROUTE_CROSS_CHECKS = {
+    "numbers-cross-method",
+    "polynomials-cross-method",
+    "value-at-one-equals-number",
+    "h-polynomial-two-derivations",
+    "h-polynomial-closed-form",
+    "constant-term-equals-number",
+}
+
+
+def _fault_in_the_fibonacci_reciprocal(monkeypatch):
+    inverse = bernoulli._inverse_shifted_exponential
+
+    def faulty(order, factorial):
+        reciprocal = inverse(order, factorial)
+        if factorial is math.factorial:  # the classical family stays sound
+            return reciprocal
+        coeffs = list(reciprocal.coeffs)
+        coeffs[5] += Fraction(1, 7)
+        return TruncatedSeries(coeffs)
+
+    monkeypatch.setattr(bernoulli, "_inverse_shifted_exponential", faulty)
+
+
+def _fault_in_a_number(monkeypatch, name, index):
+    route = getattr(bernoulli, name)
+
+    def faulty(*args, **kwargs):
+        numbers = route(*args, **kwargs)
+        numbers[index] += Fraction(1, 7)
+        return numbers
+
+    monkeypatch.setattr(bernoulli, name, faulty)
+
+
+# fault -> the exact set of Bernoulli-layer identities it turns red at N = 16
+BERNOULLI_FAULTS = [
+    (
+        "series reciprocal z^5 + 1/7",
+        _fault_in_the_fibonacci_reciprocal,
+        ROUTE_CROSS_CHECKS | {"number-sum-vanishes"},
+    ),
+    (
+        "recursive b^F_5 + 1/7",
+        lambda mp: _fault_in_a_number(mp, "bf_numbers_recursive", 5),
+        ROUTE_CROSS_CHECKS | {"fibonomial-sum-recursion"},
+    ),
+    (
+        "classical b_3 + 1/7",
+        lambda mp: _fault_in_a_number(mp, "classical_bernoulli_numbers", 3),
+        {"classical-number-sum-vanishes", "classical-odd-numbers-vanish", "classical-value-at-one"},
+    ),
+]
+
+
+def test_every_bernoulli_identity_turns_red_under_some_fault(monkeypatch):
+    caught = set()
+    for fault, inject, expected in BERNOULLI_FAULTS:
+        with monkeypatch.context() as patched:
+            inject(patched)
+            red = {r.identity for r in verify_identities(16) if not r.passed}
+        assert red == expected, fault
+        caught |= red
+    assert EXPECTED_IDENTITIES - caught == APPELL_IDENTITIES
 
 
 def test_no_factorial_ratio_outside_the_integrality_check(monkeypatch):
