@@ -12,16 +12,21 @@ A negative point such as -3/7 would be read as an option, so it goes
 after "--", with every option before it.
 
 Exit codes: 0 on success, 1 when `verify` finds a broken identity,
-2 on usage errors (an --out path that cannot be written is one, reported
-in one line on stderr), 3 on an unexpected internal error (also one line
-on stderr).  Output goes to stdout unless --out is given.
+2 on usage errors (output that cannot be written is one: an --out path,
+or a full or closed stdout; reported in one line on stderr), 3 on an
+unexpected internal error (also one line on stderr).  Output goes to
+stdout unless --out is given.  It is written chunk by chunk while table
+rows are computed, so part of it may precede a write error or an
+internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
+from typing import Iterator
 
 from .bernoulli import (
     bf_eval,
@@ -34,7 +39,7 @@ from .bernoulli import (
 )
 from .fibonacci import fibonomial_triangle
 from .output import FORMATS, OutputDocument
-from .polynomials import golden_binomial, render_coefficients
+from .polynomials import golden_binomial, render_coefficients, render_terms
 from .rationals import format_rational, parse_rational
 from .verify import VerificationReport, core_property_reports, verify_identities
 
@@ -86,27 +91,41 @@ def build_evaluation_document(variant: str, n: int, point: Fraction) -> OutputDo
     return OutputDocument("evaluation", metadata, {"value": format_rational(value)})
 
 
+class _FibonomialRows:
+    """The payload rows ``{"n", "row"}`` of the Fibonomial triangle 0..max_n.
+
+    A lazy view: each pass runs :func:`fibonomial_triangle` afresh, so only
+    the previous row is ever held.
+    """
+
+    def __init__(self, max_n: int) -> None:
+        if max_n < 0:
+            raise ValueError("n must be nonnegative")
+        self.max_n = max_n
+
+    def __iter__(self) -> Iterator[dict]:
+        for n, row in enumerate(fibonomial_triangle(self.max_n)):
+            yield {"n": n, "row": [str(v) for v in row]}
+
+
 def build_fibonomial_document(max_n: int) -> OutputDocument:
-    payload = [
-        {"n": n, "row": [str(v) for v in row]}
-        for n, row in enumerate(fibonomial_triangle(max_n))
-    ]
-    return OutputDocument("fibonomials", {"max_n": max_n}, payload)
+    return OutputDocument("fibonomials", {"max_n": max_n}, _FibonomialRows(max_n))
 
 
 def build_binomial_document(n: int) -> OutputDocument:
     expansion = golden_binomial(n)
+    signed_terms = expansion.signed_terms()
     terms = [
         {
             "k": term.k,
             "sign": term.sign,
-            "coefficient": format_rational(term.coefficient),
+            "coefficient": coefficient.lstrip("-"),
             "monomial": expansion.monomial_text(term.k),
-            "term": expansion.term_text(term.k),
+            "term": render_terms([(coefficient, factors)]),
         }
-        for term in expansion.terms
+        for term, (coefficient, factors) in zip(expansion.terms, signed_terms)
     ]
-    payload = {"terms": terms, "rendered": expansion.rendered()}
+    payload = {"terms": terms, "rendered": render_terms(signed_terms)}
     return OutputDocument("binomial", {"n": n}, payload)
 
 
@@ -220,12 +239,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
+def build_document(args: argparse.Namespace) -> OutputDocument:
+    """The document of one parsed command line."""
+    if args.command == "numbers":
+        return build_numbers_document(args.variant, args.max_n, args.method)
+    if args.command == "poly":
+        return build_polynomial_document(args.variant, args.n)
+    if args.command == "eval":
+        return build_evaluation_document(args.variant, args.n, args.x)
+    if args.command == "fibonomial":
+        return build_fibonomial_document(args.max_n)
+    if args.command == "binomial":
+        return build_binomial_document(args.n)
+    # argparse allows only "verify" here
+    return build_verification_document(args.max_degree)
+
+
+def _output(out: str | None):
+    """The open --out file, or stdout (left open) when ``out`` is None."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        return nullcontext(sys.stdout)
+    return open(out, "w", encoding="utf-8", newline="")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -236,30 +270,24 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
 
     try:
-        if args.command == "numbers":
-            document = build_numbers_document(args.variant, args.max_n, args.method)
-        elif args.command == "poly":
-            document = build_polynomial_document(args.variant, args.n)
-        elif args.command == "eval":
-            document = build_evaluation_document(args.variant, args.n, args.x)
-        elif args.command == "fibonomial":
-            document = build_fibonomial_document(args.max_n)
-        elif args.command == "binomial":
-            document = build_binomial_document(args.n)
-        else:  # argparse allows only "verify" here
-            document = build_verification_document(args.max_degree)
-        text = document.render(args.format) + "\n"
+        document = build_document(args)
+        chunks = document.chunks(args.format)
+        with _output(args.out) as handle:
+            # rows are computed as they are written, so output may precede an error
+            for chunk in chunks:
+                handle.write(chunk)
+            handle.write("\n")
+            handle.flush()
+    except OSError as exc:
+        # Nothing goldencalc computes does I/O, so this is the output's own
+        # error: an unwritable --out path, or a full or closed stdout.
+        target = args.out or "stdout"
+        print(f"goldencalc: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         # a bug must not exit 1, which reads as a failed identity
         print(f"goldencalc: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    try:
-        _emit(text, args.out)
-    except OSError as exc:
-        # an unwritable --out path (or a closed stdout) is not a bug
-        target = args.out or "stdout"
-        print(f"goldencalc: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
-        return 2
     failed = document.kind == "verification" and not document.metadata["all_passed"]
     return 1 if failed else 0
 

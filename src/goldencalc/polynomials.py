@@ -206,7 +206,11 @@ class GoldenBinomialExpansion:
         return render_terms([self._signed_term(k)])
 
     def rendered(self) -> str:
-        return render_terms(self._signed_term(term.k) for term in self.terms)
+        return render_terms(self.signed_terms())
+
+    def signed_terms(self) -> list[tuple[str, tuple]]:
+        """Each term's signed wire-format coefficient and its factors, each formatted once."""
+        return [self._signed_term(term.k) for term in self.terms]
 
     def _signed_term(self, k: int) -> tuple[str, tuple]:
         term = self.terms[k]

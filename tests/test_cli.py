@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from decimal import Decimal
@@ -32,6 +33,30 @@ def test_golden_files_byte_identical(fixture):
     result = run_cli(*GOLDEN_INVOCATIONS[fixture])
     assert result.returncode == 0
     assert result.stdout == expected
+
+
+def _with_out(argv, target):
+    """argv with "--out target" placed before any "--" (after it, it would be an operand)."""
+    argv = list(argv)
+    at = argv.index("--") if "--" in argv else len(argv)
+    return argv[:at] + ["--out", str(target)] + argv[at:]
+
+
+STREAMED_INVOCATIONS = sorted(GOLDEN_INVOCATIONS.values()) + [
+    [command, "256", "--format", fmt]
+    for command in ("fibonomial", "binomial")
+    for fmt in ("json", "csv", "latex", "plain")
+]
+
+
+@pytest.mark.parametrize("argv", STREAMED_INVOCATIONS, ids=" ".join)
+def test_streamed_output_is_the_rendered_document(argv, tmp_path):
+    # what main writes chunk by chunk equals the document rendered whole
+    target = tmp_path / "out"
+    assert cli.main(_with_out(argv, target)) == 0
+    args = cli.build_parser().parse_args(argv)
+    rendered = cli.build_document(args).render(args.format) + "\n"
+    assert target.read_bytes() == rendered.encode("utf-8")
 
 
 def test_every_golden_file_has_an_invocation():
@@ -133,10 +158,10 @@ def test_fibonomial_document_builds_one_table(monkeypatch):
 
     monkeypatch.setattr(fibonacci.FibTable, "__init__", counting)
     monkeypatch.setattr(fibonacci.FibTable, "fibonomial", refuse)
-    document = cli.build_fibonomial_document(60)
+    rows = list(cli.build_fibonomial_document(60).payload)
     assert len(built) <= 1
-    assert document.payload[7] == {"n": 7, "row": ["1", "13", "104", "260", "260", "104", "13", "1"]}
-    assert len(document.payload) == 61
+    assert rows[7] == {"n": 7, "row": ["1", "13", "104", "260", "260", "104", "13", "1"]}
+    assert len(rows) == 61
 
 
 def test_verify_small_bound_passes(capsys):
@@ -244,3 +269,74 @@ class TestPastTheIntStrLimit:
         payload = json.loads(capsys.readouterr().out)["payload"]
         numerators = [row["value"].partition("/")[0].lstrip("-") for row in payload]
         assert max(map(len, numerators)) > 4300
+
+
+class TestStreaming:
+    """Output goes out row by row: bounded memory, and errors after it started."""
+
+    def test_fibonomial_300_csv_peak_memory(self, tmp_path):
+        # The child's own ru_maxrss, from wait4 (RUSAGE_CHILDREN would mix in
+        # other children).  It is started from a small launcher process,
+        # because exec carries the forking process's resident size into the
+        # child's maximum, and this test process may be large.
+        launcher = """if True:
+            import os, subprocess, sys
+            proc = subprocess.Popen(sys.argv[1:])
+            _, status, usage = os.wait4(proc.pid, 0)
+            print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+        """
+        target = tmp_path / "out.csv"
+        argv = ["fibonomial", "300", "--format", "csv", "--out", str(target)]
+        result = subprocess.run(
+            [sys.executable, "-c", launcher, sys.executable, "-m", "goldencalc", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        returncode, max_rss_kib = map(int, result.stdout.split())
+        assert returncode == 0
+        assert target.stat().st_size > 60 * 2**20  # more output than the memory allowed
+        assert max_rss_kib <= 60 * 1024  # ru_maxrss is in KiB on Linux
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_full_out_file_is_one_line_and_exit_2(self):
+        result = run_cli("fibonomial", "250", "--out", "/dev/full")
+        assert result.returncode == 2
+        assert result.stderr == b"goldencalc: cannot write /dev/full: No space left on device\n"
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_full_stdout_is_one_line_and_exit_2(self):
+        # nothing more may be reported when the interpreter flushes stdout at exit
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "goldencalc", "fibonomial", "250"],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                timeout=120,
+            )
+        assert result.returncode == 2
+        assert result.stderr == b"goldencalc: cannot write stdout: No space left on device\n"
+
+    def test_internal_error_mid_stream_is_one_line_and_exit_3(self):
+        script = """if True:
+            import sys
+            from goldencalc import cli
+
+            triangle = cli.fibonomial_triangle
+
+            def failing(max_n):
+                for n, row in enumerate(triangle(max_n)):
+                    if n == 5:
+                        raise RuntimeError("boom")
+                    yield row
+
+            cli.fibonomial_triangle = failing
+            sys.exit(cli.main(["fibonomial", "40", "--format", "plain"]))
+        """
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, timeout=120
+        )
+        assert result.returncode == 3
+        assert result.stderr == b"goldencalc: internal error: RuntimeError: boom\n"
+        # the rows written before the error stay written
+        assert result.stdout == b"row 0: 1\nrow 1: 1 1\nrow 2: 1 1 1\nrow 3: 1 2 2 1\nrow 4: 1 3 6 3 1"

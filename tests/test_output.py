@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import sys
 from decimal import Decimal
@@ -5,7 +7,7 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from goldencalc import format_rational, parse_rational
@@ -18,7 +20,7 @@ from goldencalc.cli import (
     build_verification_document,
 )
 from goldencalc import polynomials
-from goldencalc.output import OutputDocument, load_schema
+from goldencalc.output import OutputDocument, _csv_line, load_schema
 from goldencalc.rationals import latex_rational
 
 F = Fraction
@@ -183,9 +185,13 @@ def test_evaluation_document_values():
 
 
 def test_fibonomial_document_rows():
-    document = build_fibonomial_document(4)
-    assert document.payload[4]["row"] == ["1", "3", "6", "3", "1"]
-    assert document.payload[0]["row"] == ["1"]
+    payload = build_fibonomial_document(4).payload
+    rows = list(payload)
+    assert rows[4]["row"] == ["1", "3", "6", "3", "1"]
+    assert rows[0]["row"] == ["1"]
+    assert list(payload) == rows  # a lazy view, computed afresh on each pass
+    with pytest.raises(ValueError):
+        build_fibonomial_document(-1)
 
 
 def test_binomial_document_terms():
@@ -216,6 +222,46 @@ def test_binomial_document_formats_each_term_once_per_field(monkeypatch):
 def test_render_rejects_unknown_format():
     with pytest.raises(ValueError):
         build_fibonomial_document(1).render("xml")
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_json_is_json_dumps_with_indent_2(name):
+    document = DOCUMENTS[name]()
+    payload = document.payload
+    body = {
+        "kind": document.kind,
+        "metadata": document.metadata,
+        "payload": payload if isinstance(payload, dict) else list(payload),
+    }
+    assert document.render("json") == json.dumps(body, indent=2)
+
+
+def test_json_of_an_empty_payload_list():
+    document = OutputDocument("verification", {"max_degree": 2, "all_passed": True}, [])
+    assert document.render("json") == json.dumps(
+        {"kind": "verification", "metadata": document.metadata, "payload": []}, indent=2
+    )
+
+
+def _csv_writer_line(fields) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(fields)
+    return buffer.getvalue()
+
+
+csv_fields = st.lists(
+    st.one_of(st.text(alphabet=st.sampled_from(',"\r\n ab1\u00e9')), st.text(), st.integers()),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(csv_fields)
+@example([""])
+@example(["", ""])
+@example(["a,b", 'say "hi"', "cr\r", "lf\n", "", 7])
+def test_csv_line_matches_csv_writer(fields):
+    assert _csv_line(fields) + "\r\n" == _csv_writer_line(fields)
 
 
 def test_csv_has_header_and_quoting():
