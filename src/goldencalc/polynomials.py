@@ -202,19 +202,12 @@ class GoldenBinomialExpansion:
     def monomial_text(self, k: int) -> str:
         return render_monomial(binomial_factors(self.n, k))
 
-    def term_text(self, k: int) -> str:
-        return render_terms([self._signed_term(k)])
-
-    def rendered(self) -> str:
-        return render_terms(self.signed_terms())
-
     def signed_terms(self) -> list[tuple[str, tuple]]:
         """Each term's signed wire-format coefficient and its factors, each formatted once."""
-        return [self._signed_term(term.k) for term in self.terms]
-
-    def _signed_term(self, k: int) -> tuple[str, tuple]:
-        term = self.terms[k]
-        return format_rational(term.sign * term.coefficient), binomial_factors(self.n, k)
+        return [
+            (format_rational(term.sign * term.coefficient), binomial_factors(self.n, term.k))
+            for term in self.terms
+        ]
 
 
 def binomial_factors(n: int, k: int) -> tuple[tuple[str, int], ...]:

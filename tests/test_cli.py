@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -168,6 +169,20 @@ def test_verify_small_bound_passes(capsys):
     assert cli.main(["verify", "2", "--format", "plain"]) == 0
     out = capsys.readouterr().out
     assert "all identities passed" in out
+
+
+# the benchmark's pinned sha256 of each command's stdout, read only
+BENCHMARK_DIGESTS = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "manifest.json").read_text()
+)
+
+
+@pytest.mark.parametrize("bound", ["32", "64"])
+def test_verify_output_matches_the_benchmark_digest(bound, tmp_path):
+    target = tmp_path / "out"
+    assert cli.main(["verify", bound, "--out", str(target)]) == 0
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == BENCHMARK_DIGESTS[f"verify {bound}"]
 
 
 def test_verify_json_document(capsys):

@@ -209,7 +209,7 @@ def test_binomial_document_terms():
 
 
 def test_binomial_document_formats_each_term_once_per_field(monkeypatch):
-    # term_text(k) formats term k alone; rebuilding the sum per term is O(n^2)
+    # each term's "term" text renders that term alone; rebuilding the sum per term is O(n^2)
     calls = []
     original = polynomials.render_monomial
     monkeypatch.setattr(

@@ -134,20 +134,20 @@ class TestGoldenBinomial:
         assert len(expansion.terms) == 1
         assert expansion.terms[0].sign == 1
         assert expansion.terms[0].coefficient == 1
-        assert expansion.rendered() == "1"
+        assert render_terms(expansion.signed_terms()) == "1"
 
     def test_degree_two(self):
         expansion = golden_binomial(2)
         assert [t.sign for t in expansion.terms] == [1, 1, -1]
         assert [t.coefficient for t in expansion.terms] == [1, 1, 1]
-        assert expansion.rendered() == "x^2 + xy - y^2"
+        assert render_terms(expansion.signed_terms()) == "x^2 + xy - y^2"
 
     def test_degree_four_middle_term(self):
         expansion = golden_binomial(4)
         term = expansion.terms[2]
         assert term.sign == -1
         assert term.coefficient == 6
-        assert expansion.term_text(2) == "-6 x^2 y^2"
+        assert render_terms(expansion.signed_terms()[2:3]) == "-6 x^2 y^2"
 
     def test_sign_pattern_has_period_four(self):
         expansion = golden_binomial(17)

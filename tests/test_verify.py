@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -10,7 +11,6 @@ from goldencalc import (
     Polynomial,
     TruncatedSeries,
     core_property_reports,
-    fibonomial_rows,
     verify_identities,
 )
 from goldencalc import bernoulli, verify
@@ -69,14 +69,19 @@ def test_ranges_scale_with_bound():
     assert core["fibonomial-symmetry"].degree_max == 16
 
 
-def test_fibonomial_symmetry_checks_the_pascal_rows(monkeypatch):
-    rows = list(fibonomial_rows(FibTable(16)))
+def _skewed_rows(monkeypatch, module, n, k):
+    """Add 1 to the Pascal row entry [n, k] that ``module`` reads."""
+    rows = module.fibonomial_rows
 
     def skewed(table):
-        for n, row in enumerate(rows):
-            yield row[:-2] + (row[-2] + 1, row[-1]) if n == 5 else row
+        for m, row in enumerate(rows(table)):
+            yield row[:k] + (row[k] + 1,) + row[k + 1 :] if m == n else row
 
-    monkeypatch.setattr(verify, "fibonomial_rows", skewed)
+    monkeypatch.setattr(module, "fibonomial_rows", skewed)
+
+
+def test_fibonomial_symmetry_checks_the_pascal_rows(monkeypatch):
+    _skewed_rows(monkeypatch, verify, 5, 4)
     core = {r.identity: r for r in core_property_reports(4)}
     report = core["fibonomial-symmetry"]
     assert len(report.statuses) == 9
@@ -192,6 +197,83 @@ def test_every_bernoulli_identity_turns_red_under_some_fault(monkeypatch):
     assert EXPECTED_IDENTITIES - caught == APPELL_IDENTITIES
 
 
+# The Bernoulli layer's Fibonacci-family identities; the other four check
+# the classical family.
+FIBONACCI_FAMILY = {name for name in EXPECTED_IDENTITIES if not name.startswith("classical-")}
+
+
+def test_a_pascal_row_fault_turns_the_fibonacci_family_red(monkeypatch):
+    _skewed_rows(monkeypatch, bernoulli, 5, 4)
+    red = {r.identity for r in verify_identities(8) if not r.passed}
+    assert len(FIBONACCI_FAMILY) == 9
+    assert red == FIBONACCI_FAMILY
+
+
+def _wrap(monkeypatch, name, faulty):
+    """Replace ``verify.<name>`` by ``faulty(original, *args)``."""
+    original = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: faulty(original, *args))
+
+
+def _phi_cubed_plus_one(ladders, m):
+    phi_powers, conjugate_powers = ladders(m)
+    return phi_powers[:3] + (phi_powers[3] + 1,) + phi_powers[4:], conjugate_powers
+
+
+def _sign_flipped_in_degree_six(golden_binomial, n, row):
+    expansion = golden_binomial(n, row)
+    if n != 6:
+        return expansion
+    terms = list(expansion.terms)
+    terms[2] = dataclasses.replace(terms[2], sign=-terms[2].sign)
+    return dataclasses.replace(expansion, terms=tuple(terms))
+
+
+PASCAL_RECURSIONS = {"pascal-recursion-a", "pascal-recursion-b"}
+
+# fault -> the exact set of core identities it turns red at N = 8
+CORE_FAULTS = [
+    (
+        "Pascal row [5, 4] + 1",
+        lambda mp: _skewed_rows(mp, verify, 5, 4),
+        {"fibonomial-symmetry", "fibonomial-integrality"} | PASCAL_RECURSIONS,
+    ),
+    (
+        "Binet F_7 + 1",
+        lambda mp: _wrap(mp, "binet", lambda binet, n: binet(n) + (1 if n == 7 else 0)),
+        {"binet-matches-recurrence"},
+    ),
+    (
+        "phi^3 + 1",
+        lambda mp: _wrap(mp, "golden_power_ladders", _phi_cubed_plus_one),
+        PASCAL_RECURSIONS,
+    ),
+    (
+        "sign of term 2 of the degree-6 Golden binomial",
+        lambda mp: _wrap(mp, "golden_binomial", _sign_flipped_in_degree_six),
+        {"golden-binomial-signs"},
+    ),
+    (
+        "dilatation derivative + 1 at degree 5",
+        lambda mp: _wrap(
+            mp, "golden_derivative_dilatation", lambda d, p: d(p) + (1 if p.degree == 5 else 0)
+        ),
+        {"golden-derivative-dilatation-oracle"},
+    ),
+]
+
+
+def test_every_core_identity_turns_red_under_some_fault(monkeypatch):
+    caught = set()
+    for fault, inject, expected in CORE_FAULTS:
+        with monkeypatch.context() as patched:
+            inject(patched)
+            red = {r.identity for r in core_property_reports(8) if not r.passed}
+        assert red == expected, fault
+        caught |= red
+    assert caught == EXPECTED_CORE
+
+
 def test_no_factorial_ratio_outside_the_integrality_check(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a factorial-ratio Fibonomial was taken")
@@ -231,7 +313,7 @@ def test_bound_below_two_rejected():
 
 
 def test_failure_captures_first_counterexample():
-    report = _run("synthetic", 0, 3, ((n, n * n, n + n) for n in range(4)))
+    report = _run("synthetic", 0, 3, lambda n: (n * n, n + n))
     # n*n == n+n only for n in {0, 2}
     assert report.statuses == (True, False, True, False)
     assert not report.passed
@@ -242,17 +324,18 @@ def test_failure_captures_first_counterexample():
 
 
 def test_counterexample_text_of_exact_values():
-    report = _run("synthetic", 0, 1, [(0, Fraction(1, 2), Fraction(1, 3))])
+    report = _run("synthetic", 0, 0, lambda n: (Fraction(1, 2), Fraction(1, 3)))
     assert report.counterexample.lhs == "1/2"
     assert report.counterexample.rhs == "1/3"
-    report = _run("synthetic", 0, 1, [(0, Polynomial([1, 2]), Polynomial([1]))])
+    report = _run("synthetic", 0, 0, lambda n: (Polynomial([1, 2]), Polynomial([1])))
     assert report.counterexample.lhs == "2 x + 1"
 
 
 def test_equal_values_beyond_the_str_limit_pass():
     # Python refuses int -> str past 4300 digits; equal values are never rendered.
     big = Fraction(10**5000 + 1, 3)
-    report = _run("synthetic", 0, 1, [(0, big, Fraction(3 * 10**5000 + 3, 9)), (1, big, big)])
+    sides = [(big, Fraction(3 * 10**5000 + 3, 9)), (big, big)]
+    report = _run("synthetic", 0, 1, sides.__getitem__)
     assert report.passed
     assert report.counterexample is None
 
@@ -279,9 +362,20 @@ def test_degree_64_within_wall_clock_cap():
 
 
 def test_passing_report_has_no_counterexample():
-    report = _run("synthetic", 0, 2, ((n, n, n) for n in range(3)))
+    report = _run("synthetic", 0, 2, lambda n: (n, n))
     assert report.passed
     assert report.counterexample is None
+
+
+@pytest.mark.parametrize(
+    "hi, step, indices", [(8, 1, [3, 4, 5, 6, 7, 8]), (8, 2, [3, 5, 7]), (9, 2, [3, 5, 7, 9])]
+)
+def test_run_checks_each_index_of_its_range_once_in_order(hi, step, indices):
+    checked = []
+    report = _run("synthetic", 3, hi, lambda n: checked.append(n) or (n, n), step=step)
+    assert checked == indices
+    assert report.statuses == (True,) * len(indices)
+    assert (report.degree_min, report.degree_max) == (3, hi)
 
 
 def test_report_value_semantics():
