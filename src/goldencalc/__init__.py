@@ -34,8 +34,6 @@ from .fibonacci import (
 )
 from .golden import PHI, PHI_CONJUGATE, SQRT5, ExactnessError, GoldenNumber
 from .polynomials import (
-    BinomialTerm,
-    GoldenBinomialExpansion,
     Polynomial,
     golden_binomial,
     golden_derivative,
@@ -54,11 +52,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BernoulliFibTable",
-    "BinomialTerm",
     "Counterexample",
     "ExactnessError",
     "FibTable",
-    "GoldenBinomialExpansion",
     "GoldenNumber",
     "PHI",
     "PHI_CONJUGATE",

@@ -19,9 +19,11 @@ compares two routes.  Everything else that needs a Fibonomial reads whole
 rows of the integer Pascal rule
 (:func:`~goldencalc.fibonacci.fibonomial_rows`), built once per degree on
 the :class:`BernoulliFibTable`: the recursive number route, the
-polynomials and the H-polynomials.  Called without a row, the polynomial
-functions fall back on the factorial ratio, through
-:func:`~goldencalc.fibonacci.fibonomial_row_or_ratio`.
+polynomials and the H-polynomials.  Called without shared inputs, the
+polynomial functions build the same way: one table's Pascal rows and the
+sum-rule numbers read from them.  So :func:`bf_polynomial` never inverts
+a series, and comparing it with :func:`bf_polynomial_genfunc` compares
+two routes at any n.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Sequence
 
-from .fibonacci import FibTable, fibonomial_row_or_ratio, fibonomial_rows
+from .fibonacci import FibTable, fibonomial_rows
 from .polynomials import Polynomial, linear_combination
 from .rationals import sum_of_products
 from .series import TruncatedSeries
@@ -91,16 +93,28 @@ def bf_polynomial(
 ) -> Polynomial:
     """B^F_n(x) = sum over j of [n, j] b^F_j x^(n-j).
 
-    ``row`` is [n, 0..n] (say from
-    :func:`~goldencalc.fibonacci.fibonomial_rows`; factorial ratios when
-    missing).
+    ``numbers`` are b^F_0..b^F_m with m >= n and ``row`` is [n, 0..n] (say
+    from :func:`~goldencalc.fibonacci.fibonomial_rows`).  What is missing
+    comes from one table's Pascal rows: the row itself, and the numbers by
+    :func:`bf_numbers_recursive`.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    row = fibonomial_row_or_ratio(n, row)
-    if numbers is None:
-        numbers = bf_numbers_series(n)
+    numbers, row = _numbers_and_row(n, numbers, row)
     return Polynomial(row[n - i] * numbers[n - i] for i in range(n + 1))
+
+
+def _numbers_and_row(
+    n: int, numbers: Sequence[Fraction] | None, row: Sequence[int] | None
+) -> tuple[Sequence[Fraction], Sequence[int]]:
+    # whichever is missing comes from the Pascal rows 0..n+1 of one table
+    if numbers is None or row is None:
+        rows = tuple(fibonomial_rows(FibTable(n + 1)))
+        if numbers is None:
+            numbers = bf_numbers_recursive(n, rows)
+        if row is None:
+            row = rows[n]
+    return numbers, row
 
 
 def bf_polynomial_genfunc(
@@ -148,14 +162,18 @@ def h_polynomial_sum(
 
     equal to B^F_n(x) + F_n x^(n-1).  ``polynomials`` (B^F_0..B^F_m with
     m >= n) and ``row`` (as in :func:`bf_polynomial`) may be shared;
-    otherwise they are built here.
+    otherwise they are built here, from one table's Pascal rows as in
+    :func:`bf_polynomial`.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if polynomials is None:
-        numbers = bf_numbers_series(n)
-        polynomials = [bf_polynomial(m, numbers) for m in range(n + 1)]
-    row = fibonomial_row_or_ratio(n, row)
+    if polynomials is None or row is None:
+        rows = tuple(fibonomial_rows(FibTable(n + 1)))
+        if polynomials is None:
+            numbers = bf_numbers_recursive(n, rows)
+            polynomials = [bf_polynomial(m, numbers, rows[m]) for m in range(n + 1)]
+        if row is None:
+            row = rows[n]
     return linear_combination((row[k], polynomials[n - k]) for k in range(n + 1))
 
 
@@ -170,9 +188,7 @@ def h_polynomial_explicit(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    row = fibonomial_row_or_ratio(n, row)
-    if numbers is None:
-        numbers = bf_numbers_series(n)
+    numbers, row = _numbers_and_row(n, numbers, row)
     coeffs: list = [0] * (n + 1)
     coeffs[n] = Fraction(1)
     for j in range(2, n + 1):

@@ -39,7 +39,13 @@ from .bernoulli import (
 )
 from .fibonacci import fibonomial_triangle
 from .output import FORMATS, OutputDocument
-from .polynomials import golden_binomial, render_coefficients, render_terms
+from .polynomials import (
+    binomial_factors,
+    golden_binomial,
+    render_coefficients,
+    render_monomial,
+    render_terms,
+)
 from .rationals import format_rational, parse_rational
 from .verify import VerificationReport, core_property_reports, verify_identities
 
@@ -113,17 +119,19 @@ def build_fibonomial_document(max_n: int) -> OutputDocument:
 
 
 def build_binomial_document(n: int) -> OutputDocument:
-    expansion = golden_binomial(n)
-    signed_terms = expansion.signed_terms()
+    # each term's signed wire-format coefficient and its factors, formatted once
+    signed_terms = [
+        (format_rational(c), binomial_factors(n, k)) for k, c in enumerate(golden_binomial(n))
+    ]
     terms = [
         {
-            "k": term.k,
-            "sign": term.sign,
+            "k": k,
+            "sign": -1 if coefficient.startswith("-") else 1,
             "coefficient": coefficient.lstrip("-"),
-            "monomial": expansion.monomial_text(term.k),
+            "monomial": render_monomial(factors),
             "term": render_terms([(coefficient, factors)]),
         }
-        for term, (coefficient, factors) in zip(expansion.terms, signed_terms)
+        for k, (coefficient, factors) in enumerate(signed_terms)
     ]
     payload = {"terms": terms, "rendered": render_terms(signed_terms)}
     return OutputDocument("binomial", {"n": n}, payload)

@@ -10,18 +10,18 @@ by two independent routes:
   :func:`fibonomial_rows` yields ints, and :func:`fibonomial_triangle`
   yields exact decimal integers (``Decimal`` with exponent 0 under a
   context that traps every rounding), whose digit strings cost linear
-  time at any size.  ``verify`` and the Bernoulli layer build the int
-  rows once per degree and read every Fibonomial they need from them: the
-  recursive number route, the polynomials, the H-polynomials, the
-  Golden binomial and the Pascal-style recursions below.
+  time at any size.  Every Fibonomial the library computes comes from
+  these rows: the recursive number route, the polynomials, the
+  H-polynomials, the Golden binomial and the Pascal-style recursions
+  below.  ``verify`` and the Bernoulli layer build them once per degree;
+  a function called without a row builds its own.
 - The factorial ratio: ``FibTable.fibonomial`` divides with the exactness
   of the division asserted, so any arithmetic slip trips immediately
   instead of truncating, and ``FibTable.is_fibonomial`` tests a value
-  against the ratio by one exact multiplication.  ``verify`` compares
-  every Pascal row entry with the ratio once, in its
-  ``fibonomial-integrality`` check; the library functions that take an
-  optional row fall back on the ratio, through
-  :func:`fibonomial_row_or_ratio`, when none is passed.
+  against the ratio by one exact multiplication.  It serves as the
+  public reference (:func:`fibonomial`, :func:`fibonomial_row`) and as
+  the second route of ``verify``'s ``fibonomial-integrality`` check,
+  which compares every Pascal row entry with it once.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from decimal import (
     Rounded,
 )
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .golden import PHI, PHI_CONJUGATE, SQRT5, ExactnessError, GoldenNumber
@@ -90,9 +91,6 @@ class FibTable:
         """Whether ``value`` is F_n!/(F_(n-k)! F_k!), by multiplying instead of dividing."""
         return value * (self.factorials[n - k] * self.factorials[k]) == self.factorials[n]
 
-    def fibonomial_row(self, n: int) -> tuple[int, ...]:
-        return tuple(self.fibonomial(n, k) for k in range(n + 1))
-
 
 def fib(n: int) -> int:
     """F_n by the additive recurrence."""
@@ -113,8 +111,10 @@ def fibonomial(n: int, k: int) -> int:
 
 
 def fibonomial_row(n: int) -> tuple[int, ...]:
+    """[n, 0..n] as exact factorial ratios."""
     _require_nonnegative(n)
-    return FibTable(n).fibonomial_row(n)
+    table = FibTable(n)
+    return tuple(table.fibonomial(n, k) for k in range(n + 1))
 
 
 def fibonomial_rows(table: FibTable) -> Iterator[tuple[int, ...]]:
@@ -123,6 +123,11 @@ def fibonomial_rows(table: FibTable) -> Iterator[tuple[int, ...]]:
     Lazy and keeping only the previous row; no entry is a factorial ratio.
     """
     return _pascal_rows(table.values, 1, operator.add, operator.mul)
+
+
+def _pascal_row(n: int) -> tuple[int, ...]:
+    # [n, 0..n] by the Pascal rule, holding one previous row at a time
+    return next(islice(fibonomial_rows(FibTable(n)), n, None))
 
 
 def fibonomial_triangle(max_n: int) -> Iterator[tuple[Decimal, ...]]:
@@ -186,21 +191,13 @@ def golden_power_ladders(m: int) -> PowerLadders:
     return tuple(phi_powers), tuple(conjugate_powers)
 
 
-def fibonomial_row_or_ratio(n: int, row: Sequence[int] | None) -> Sequence[int]:
-    """[n, 0..n]: ``row`` when it is passed, else factorial ratios from a fresh table.
-
-    The one default of every function that takes an optional Fibonomial row.
-    """
-    return FibTable(n).fibonomial_row(n) if row is None else row
-
-
 def fibonomial_rec_a(
     n: int, k: int, row: Sequence[int] | None = None, ladders: PowerLadders | None = None
 ) -> GoldenNumber:
     """(-1/phi)^k [n-1, k] + phi^(n-k) [n-1, k-1], exactly in Q(sqrt5).
 
-    ``row`` is [n-1, 0..n-1] (say from :func:`fibonomial_rows`; factorial
-    ratios when missing) and ``ladders`` come from
+    ``row`` is [n-1, 0..n-1] (say from :func:`fibonomial_rows`; built here
+    by the Pascal rule when missing) and ``ladders`` come from
     :func:`golden_power_ladders` with m >= n-1; both may be shared.
     """
     row, (phi_powers, conjugate_powers) = _rec_inputs(n, k, row, ladders)
@@ -224,7 +221,7 @@ def _rec_inputs(
     _require_inner(n, k)
     if ladders is None:
         ladders = golden_power_ladders(n - 1)
-    return fibonomial_row_or_ratio(n - 1, row), ladders
+    return _pascal_row(n - 1) if row is None else row, ladders
 
 
 def _require_nonnegative(n: int) -> None:

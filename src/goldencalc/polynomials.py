@@ -3,16 +3,18 @@
 Coefficient slots hold Fraction, GoldenNumber, or any other exact ring
 element; index i is the coefficient of x^i.  The stored tuple never has
 a trailing zero, so degree = len - 1 and the zero polynomial is empty.
+
+The Golden binomial (x + y)_F^n is kept as its coefficients, the signed
+Fibonomial row, built by the Pascal rule unless a row is passed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Callable, Iterable, Sequence
 
-from .fibonacci import FibTable, fibonomial_row_or_ratio
+from .fibonacci import FibTable, _pascal_row
 from .golden import PHI, ExactnessError, GoldenNumber
 from .rationals import format_rational, latex_rational, sum_of_products
 
@@ -185,49 +187,23 @@ def golden_derivative_dilatation(p: Polynomial) -> Polynomial:
     return quotient.map_coefficients(lambda c: (c / denominator).to_rational())
 
 
-@dataclass(frozen=True)
-class BinomialTerm:
-    k: int
-    sign: int  # (-1)^(k(k-1)/2), so the pattern +, +, -, - repeats
-    coefficient: int  # fibonomial(n, k)
-
-
-@dataclass(frozen=True)
-class GoldenBinomialExpansion:
-    """Signed term list of the Golden binomial (x + y)_F^n."""
-
-    n: int
-    terms: tuple[BinomialTerm, ...]
-
-    def monomial_text(self, k: int) -> str:
-        return render_monomial(binomial_factors(self.n, k))
-
-    def signed_terms(self) -> list[tuple[str, tuple]]:
-        """Each term's signed wire-format coefficient and its factors, each formatted once."""
-        return [
-            (format_rational(term.sign * term.coefficient), binomial_factors(self.n, term.k))
-            for term in self.terms
-        ]
-
-
 def binomial_factors(n: int, k: int) -> tuple[tuple[str, int], ...]:
     """The (variable, exponent) factors of term k of (x + y)_F^n: x^(n-k) y^k."""
     return (("x", n - k), ("y", k))
 
 
-def golden_binomial(n: int, row: Sequence[int] | None = None) -> GoldenBinomialExpansion:
-    """Expansion of (x + y)_F^n: term k carries (-1)^(k(k-1)/2) [n, k].
+def golden_binomial(n: int, row: Sequence[int] | None = None) -> tuple[int, ...]:
+    """Coefficients of (x + y)_F^n: that of x^(n-k) y^k is (-1)^(k(k-1)/2) [n, k].
 
-    The Fibonomials [n, 0..n] come from ``row`` when it is passed (say from
-    :func:`~goldencalc.fibonacci.fibonomial_rows`), else as factorial ratios.
+    The signs repeat +, +, -, -.  The Fibonomials [n, 0..n] come from
+    ``row`` when it is passed (say from
+    :func:`~goldencalc.fibonacci.fibonomial_rows`), else by the Pascal rule.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    row = fibonomial_row_or_ratio(n, row)
-    terms = tuple(
-        BinomialTerm(k, -1 if (k * (k - 1) // 2) % 2 else 1, row[k]) for k in range(n + 1)
-    )
-    return GoldenBinomialExpansion(n, terms)
+    if row is None:
+        row = _pascal_row(n)
+    return tuple(-row[k] if (k * (k - 1) // 2) % 2 else row[k] for k in range(n + 1))
 
 
 def render_plain(p: Polynomial) -> str:

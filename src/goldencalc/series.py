@@ -1,11 +1,9 @@
 """Truncated formal power series: exact arithmetic modulo z^(order+1).
 
-A series of order N stores exactly N+1 coefficients c_0..c_N, rational
-(int or Fraction) for every series the library builds: the Golden
-exponential e_F(z) and the shifted exponentials the Bernoulli layer
-inverts.  The ring operations are the ones those need, the product of two
-series and the reciprocal; the reciprocal also works over
-:class:`~goldencalc.golden.GoldenNumber` coefficients.
+A series of order N stores exactly N+1 rational coefficients c_0..c_N
+(int or Fraction).  The library builds the Golden exponential e_F(z) and
+the shifted exponentials the Bernoulli layer inverts.  The ring operations are the ones those need, the product of two
+series and the reciprocal.
 """
 
 from __future__ import annotations
@@ -65,23 +63,17 @@ class TruncatedSeries:
         """Reciprocal modulo z^(order+1) by the convolution recurrence.
 
         O(N^2) coefficient operations; plenty at the orders used here.
-        Over rational coefficients each convolution sum is one
+        Each convolution sum is one
         :func:`~goldencalc.rationals.sum_of_products`.  The constant term
-        must be invertible in the coefficient ring.
+        must be nonzero.
         """
         c0 = self.coeffs[0]
         if c0 == 0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        rational = all(isinstance(c, (int, Fraction)) for c in self.coeffs)
-        inv0 = Fraction(1) / c0 if rational else 1 / c0
+        inv0 = Fraction(1) / c0
         out = [inv0]
         for n in range(1, len(self.coeffs)):
-            if rational:
-                acc = sum_of_products(zip(self.coeffs[1 : n + 1], reversed(out)))
-            else:
-                acc = 0
-                for k in range(1, n + 1):
-                    acc = acc + self.coeffs[k] * out[n - k]
+            acc = sum_of_products(zip(self.coeffs[1 : n + 1], reversed(out)))
             out.append(-(inv0 * acc))
         return TruncatedSeries(out)
 

@@ -260,9 +260,9 @@ def core_property_reports(max_degree: int) -> list[VerificationReport]:
         return check
 
     def signs(n):
-        # signs only: each coefficient is the row entry it was built from
-        expansion = golden_binomial(n, rows[n])
-        ok = all(term.sign == (1 if term.k % 4 in (0, 1) else -1) for term in expansion.terms)
+        # signs only: each magnitude is the row entry it was built from
+        coefficients = golden_binomial(n, rows[n])
+        ok = all((c > 0) == (k % 4 in (0, 1)) for k, c in enumerate(coefficients))
         return "signed" if ok else "mis-signed", "signed"
 
     def oracle(n):

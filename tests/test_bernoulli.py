@@ -186,6 +186,37 @@ class TestPolynomials:
         for n in range(17):
             assert bf_polynomial_genfunc(n) == bf_polynomial(n)
 
+    def test_default_route_is_independent_of_the_reciprocal(self, monkeypatch):
+        # a fault in the reciprocal's z^5 coefficient must split the two routes
+        expected = [bf_polynomial(n) for n in range(10)]
+        inverse = bernoulli._inverse_shifted_exponential
+
+        def faulty(order, factorial):
+            coeffs = list(inverse(order, factorial).coeffs)
+            if order >= 5:
+                coeffs[5] += F(1, 7)
+            return TruncatedSeries(coeffs)
+
+        monkeypatch.setattr(bernoulli, "_inverse_shifted_exponential", faulty)
+        for n in range(5, 10):
+            assert bf_polynomial(n) == expected[n]
+            assert bf_polynomial(n) != bf_polynomial_genfunc(n)
+
+    def test_defaults_invert_no_series(self, monkeypatch):
+        expected = [bf_polynomial_genfunc(n) for n in range(25)]
+
+        def forbidden(self):
+            raise AssertionError("a default polynomial route inverted a series")
+
+        monkeypatch.setattr(TruncatedSeries, "inverse", forbidden)
+        for n in range(25):
+            assert bf_polynomial(n) == expected[n]
+        for n in range(1, 25):
+            h_n = expected[n] + Polynomial.monomial(n - 1, F(fib(n)))
+            assert h_polynomial_sum(n) == h_n
+            assert h_polynomial_explicit(n) == h_n
+        assert bf_eval(6, 1) == F(101, 39)
+
     def test_genfunc_degree_zero(self):
         assert bf_polynomial_genfunc(0) == poly(1)
 

@@ -60,6 +60,18 @@ def test_streamed_output_is_the_rendered_document(argv, tmp_path):
     assert target.read_bytes() == rendered.encode("utf-8")
 
 
+def test_no_command_takes_a_factorial_ratio(monkeypatch, tmp_path):
+    # every Fibonomial comes from the Pascal rule; verify checks rows by is_fibonomial
+    def forbidden(*args):
+        raise AssertionError("a factorial-ratio Fibonomial was taken")
+
+    monkeypatch.setattr(fibonacci.FibTable, "fibonomial", forbidden)
+    for fixture, argv in sorted(GOLDEN_INVOCATIONS.items()):
+        target = tmp_path / fixture
+        assert cli.main(_with_out(argv, target)) == 0, fixture
+        assert target.read_bytes() == (GOLDEN_DIR / fixture).read_bytes(), fixture
+
+
 def test_every_golden_file_has_an_invocation():
     assert {path.name for path in GOLDEN_DIR.iterdir()} == set(GOLDEN_INVOCATIONS)
 

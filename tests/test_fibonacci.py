@@ -136,9 +136,8 @@ class TestFibonomialTriangle:
         assert rows[7] == (1, 13, 104, 260, 260, 104, 13, 1)
 
     def test_every_row_matches_factorial_ratio_up_to_120(self):
-        table = FibTable(120)
         for n, row in enumerate(fibonomial_triangle(120)):
-            assert row == table.fibonomial_row(n)
+            assert row == fibonomial_row(n)
 
     def test_rows_past_the_int_str_limit(self):
         rows = list(fibonomial_triangle(300))
@@ -170,7 +169,7 @@ class TestFibonomialRows:
         rows = list(fibonomial_rows(table))
         assert len(rows) == 121
         for n, (row, decimal_row) in enumerate(zip(rows, fibonomial_triangle(120))):
-            assert row == table.fibonomial_row(n)
+            assert row == fibonomial_row(n)
             assert row == decimal_row
             assert all(type(value) is int for value in row)
 

@@ -19,7 +19,7 @@ from goldencalc.cli import (
     build_polynomial_document,
     build_verification_document,
 )
-from goldencalc import polynomials
+from goldencalc import cli, polynomials
 from goldencalc.output import OutputDocument, _csv_line, load_schema
 from goldencalc.rationals import latex_rational
 
@@ -212,9 +212,13 @@ def test_binomial_document_formats_each_term_once_per_field(monkeypatch):
     # each term's "term" text renders that term alone; rebuilding the sum per term is O(n^2)
     calls = []
     original = polynomials.render_monomial
-    monkeypatch.setattr(
-        polynomials, "render_monomial", lambda *args: calls.append(args) or original(*args)
-    )
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(polynomials, "render_monomial", counted)
+    monkeypatch.setattr(cli, "render_monomial", counted)
     build_binomial_document(40)
     assert len(calls) == 3 * 41
 

@@ -10,18 +10,20 @@ from goldencalc import (
     FibTable,
     GoldenNumber,
     Polynomial,
+    fibonomial_row,
     fibonomial_rows,
     golden_binomial,
     golden_derivative,
     golden_derivative_dilatation,
 )
 from goldencalc.polynomials import (
+    binomial_factors,
     linear_combination,
     render_coefficients,
     render_plain,
     render_terms,
 )
-from goldencalc.rationals import sum_of_products
+from goldencalc.rationals import format_rational, sum_of_products
 
 from conftest import fib_by_addition, rational_polynomials, rationals
 
@@ -128,31 +130,34 @@ class TestGoldenDerivative:
             assert image == Polynomial.monomial(n - 1) * fib_by_addition(n)
 
 
+def _signed_terms(n):
+    return [(format_rational(c), binomial_factors(n, k)) for k, c in enumerate(golden_binomial(n))]
+
+
 class TestGoldenBinomial:
     def test_degree_zero(self):
-        expansion = golden_binomial(0)
-        assert len(expansion.terms) == 1
-        assert expansion.terms[0].sign == 1
-        assert expansion.terms[0].coefficient == 1
-        assert render_terms(expansion.signed_terms()) == "1"
+        assert golden_binomial(0) == (1,)
+        assert render_terms(_signed_terms(0)) == "1"
 
     def test_degree_two(self):
-        expansion = golden_binomial(2)
-        assert [t.sign for t in expansion.terms] == [1, 1, -1]
-        assert [t.coefficient for t in expansion.terms] == [1, 1, 1]
-        assert render_terms(expansion.signed_terms()) == "x^2 + xy - y^2"
+        coefficients = golden_binomial(2)
+        assert [1 if c > 0 else -1 for c in coefficients] == [1, 1, -1]
+        assert [abs(c) for c in coefficients] == [1, 1, 1]
+        assert render_terms(_signed_terms(2)) == "x^2 + xy - y^2"
 
     def test_degree_four_middle_term(self):
-        expansion = golden_binomial(4)
-        term = expansion.terms[2]
-        assert term.sign == -1
-        assert term.coefficient == 6
-        assert render_terms(expansion.signed_terms()[2:3]) == "-6 x^2 y^2"
+        assert golden_binomial(4)[2] == -6
+        assert render_terms(_signed_terms(4)[2:3]) == "-6 x^2 y^2"
 
     def test_sign_pattern_has_period_four(self):
-        expansion = golden_binomial(17)
-        for term in expansion.terms:
-            assert term.sign == (1 if term.k % 4 in (0, 1) else -1)
+        coefficients = golden_binomial(17)
+        assert len(coefficients) == 18
+        for k, c in enumerate(coefficients):
+            assert (1 if c > 0 else -1) == (1 if k % 4 in (0, 1) else -1)
+
+    def test_magnitudes_are_the_fibonomials(self):
+        for n in range(18):
+            assert tuple(abs(c) for c in golden_binomial(n)) == fibonomial_row(n)
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):

@@ -5,9 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldencalc import (
-    PHI,
-    SQRT5,
-    GoldenNumber,
     Polynomial,
     TruncatedSeries,
     golden_derivative,
@@ -77,11 +74,6 @@ class TestInverse:
         inv = TruncatedSeries([1, 1, 0]).inverse()
         assert inv == TruncatedSeries([F(1), F(-1), F(1)])
         assert all(type(c) is Fraction for c in inv.coeffs)
-
-    def test_inverse_over_golden_coefficients(self):
-        s = TruncatedSeries([PHI, GoldenNumber(1), SQRT5, GoldenNumber(F(2, 3))])
-        one = TruncatedSeries([GoldenNumber(1)] + [GoldenNumber(0)] * 3)
-        assert s * s.inverse() == one
 
     def test_golden_exponential_inverse_roundtrip(self):
         e = golden_exponential(8)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -221,12 +220,10 @@ def _phi_cubed_plus_one(ladders, m):
 
 
 def _sign_flipped_in_degree_six(golden_binomial, n, row):
-    expansion = golden_binomial(n, row)
+    coefficients = golden_binomial(n, row)
     if n != 6:
-        return expansion
-    terms = list(expansion.terms)
-    terms[2] = dataclasses.replace(terms[2], sign=-terms[2].sign)
-    return dataclasses.replace(expansion, terms=tuple(terms))
+        return coefficients
+    return coefficients[:2] + (-coefficients[2],) + coefficients[3:]
 
 
 PASCAL_RECURSIONS = {"pascal-recursion-a", "pascal-recursion-b"}
