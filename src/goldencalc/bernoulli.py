@@ -24,6 +24,12 @@ polynomial functions build the same way: one table's Pascal rows and the
 sum-rule numbers read from them.  So :func:`bf_polynomial` never inverts
 a series, and comparing it with :func:`bf_polynomial_genfunc` compares
 two routes at any n.
+
+The two number routes share no data, and the CLI makes that physical:
+from order 96 on, ``numbers fib N --method both`` runs the series route
+in a forked worker (see :mod:`goldencalc.cli`), where it cannot read
+anything the recursive route built.  Inside
+:meth:`BernoulliFibTable.build` both routes still run in one process.
 """
 
 from __future__ import annotations

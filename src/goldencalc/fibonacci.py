@@ -17,11 +17,12 @@ by two independent routes:
   a function called without a row builds its own.
 - The factorial ratio: ``FibTable.fibonomial`` divides with the exactness
   of the division asserted, so any arithmetic slip trips immediately
-  instead of truncating, and ``FibTable.is_fibonomial`` tests a value
-  against the ratio by one exact multiplication.  It serves as the
-  public reference (:func:`fibonomial`, :func:`fibonomial_row`) and as
-  the second route of ``verify``'s ``fibonomial-integrality`` check,
-  which compares every Pascal row entry with it once.
+  instead of truncating.  It is the public reference
+  (:func:`fibonomial`, :func:`fibonomial_row`).  ``verify``'s
+  ``fibonomial-integrality`` check proves each Pascal row equal to it
+  through the ratio rule [n, k+1] F_(k+1) = [n, k] F_(n-k)
+  (:func:`ratio_rule_break`), which relates neighbours within one row
+  and forms no factorial, so a skewed Pascal entry still breaks it.
 """
 
 from __future__ import annotations
@@ -87,10 +88,6 @@ class FibTable:
             raise ExactnessError(f"inexact Fibonomial division for n={n}, k={k}")
         return quotient
 
-    def is_fibonomial(self, n: int, k: int, value: int) -> bool:
-        """Whether ``value`` is F_n!/(F_(n-k)! F_k!), by multiplying instead of dividing."""
-        return value * (self.factorials[n - k] * self.factorials[k]) == self.factorials[n]
-
 
 def fib(n: int) -> int:
     """F_n by the additive recurrence."""
@@ -115,6 +112,23 @@ def fibonomial_row(n: int) -> tuple[int, ...]:
     _require_nonnegative(n)
     table = FibTable(n)
     return tuple(table.fibonomial(n, k) for k in range(n + 1))
+
+
+def ratio_rule_break(n: int, row: Sequence[int], fibs: Sequence[int]) -> int | None:
+    """The first k at which ``row`` breaks the ratio rule, or None if it is [n, 0..n].
+
+    The rule is [n, 0] = 1 and [n, k+1] F_(k+1) = [n, k] F_(n-k), with F_k
+    read from ``fibs``.  By induction every row it accepts is
+    F_n!/(F_(n-k)! F_k!) entry by entry, so it proves the ratio integral
+    with one small-by-big product a side, and forms no factorial.  A row
+    whose first wrong entry is k breaks it first at k.
+    """
+    if row[0] != 1:
+        return 0
+    for k in range(n):
+        if row[k + 1] * fibs[k + 1] != row[k] * fibs[n - k]:
+            return k + 1
+    return None
 
 
 def fibonomial_rows(table: FibTable) -> Iterator[tuple[int, ...]]:

@@ -24,9 +24,15 @@ closed form of H_n are each formed once per n and shared, so
 and ``h-polynomial-closed-form`` do.  The core layer shares one Fibonacci
 table over 0..8N, its own Pascal rows 0..2N, and the power ladders
 phi^0..phi^N and (-1/phi)^0..(-1/phi)^N across every Pascal-recursion
-check.  Every Fibonomial either layer reads comes from its rows; the
-factorial ratio, the second Fibonomial route, is met once per entry, in
-``fibonomial-integrality``.
+check.  Every Fibonomial either layer reads comes from its rows.  The
+second Fibonomial route is the ratio rule [n, k+1] F_(k+1) = [n, k] F_(n-k)
+of ``fibonomial-integrality``, which proves every row entry equal to the
+factorial ratio; the ratio itself is formed only for a counterexample.
+
+The two layers share no table, row or ladder.  So from 2N = 96 on, the
+CLI runs ``core_property_reports`` in a forked worker beside
+``verify_identities`` (see :mod:`goldencalc.cli`): neither layer can read
+what the other built, and the reports come back in the same order.
 
 The table's polynomials come from the recursive numbers, while the series
 numbers and the generating-function polynomials are read off the
@@ -63,6 +69,7 @@ from .fibonacci import (
     fibonomial_rec_a,
     fibonomial_rec_b,
     golden_power_ladders,
+    ratio_rule_break,
 )
 from .golden import GoldenNumber
 from .polynomials import (
@@ -236,15 +243,15 @@ def core_property_reports(max_degree: int) -> list[VerificationReport]:
         return "symmetric" if rows[n] == rows[n][::-1] else "asymmetric", "symmetric"
 
     def integrality(n):
-        # each int row entry against the factorial ratio: proves the ratio
-        # integral and cross-checks the two Fibonomial routes
-        row = rows[n]
-        k = next((k for k in range(n + 1) if not table.is_fibonomial(n, k, row[k])), None)
+        # by induction the ratio rule proves each int entry equal to the
+        # factorial ratio, so that ratio integral; it is formed only to show
+        # a failure
+        k = ratio_rule_break(n, rows[n], table.values)
         if k is None:
             return "integral", "integral"
         ratio = Fraction(table.factorial(n), table.factorial(n - k) * table.factorial(k))
         return (
-            f"k={k}: {format_rational(row[k])}",
+            f"k={k}: {format_rational(rows[n][k])}",
             f"k={k}: F_{n}!/(F_{n - k}! F_{k}!) = {format_rational(ratio)}",
         )
 

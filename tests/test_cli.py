@@ -1,8 +1,11 @@
+import errno
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -61,11 +64,16 @@ def test_streamed_output_is_the_rendered_document(argv, tmp_path):
 
 
 def test_no_command_takes_a_factorial_ratio(monkeypatch, tmp_path):
-    # every Fibonomial comes from the Pascal rule; verify checks rows by is_fibonomial
+    # every Fibonomial comes from the Pascal rule; verify checks rows by the ratio rule
     def forbidden(*args):
         raise AssertionError("a factorial-ratio Fibonomial was taken")
 
     monkeypatch.setattr(fibonacci.FibTable, "fibonomial", forbidden)
+    _assert_fixtures_in_process(tmp_path)
+
+
+def _assert_fixtures_in_process(tmp_path):
+    """Every fixture invocation through cli.main exits 0 and writes the fixture's bytes."""
     for fixture, argv in sorted(GOLDEN_INVOCATIONS.items()):
         target = tmp_path / fixture
         assert cli.main(_with_out(argv, target)) == 0, fixture
@@ -190,11 +198,15 @@ BENCHMARK_DIGESTS = json.loads(
 
 
 @pytest.mark.parametrize("bound", ["32", "64"])
-def test_verify_output_matches_the_benchmark_digest(bound, tmp_path):
+def test_verify_output_matches_the_benchmark_digest(bound, monkeypatch, tmp_path):
+    forks = _counted_forks(monkeypatch)
     target = tmp_path / "out"
     assert cli.main(["verify", bound, "--out", str(target)]) == 0
     digest = hashlib.sha256(target.read_bytes()).hexdigest()
     assert digest == BENCHMARK_DIGESTS[f"verify {bound}"]
+    # order 2N = 64 stays in one process; 128 runs the core layer in one worker
+    assert len(forks) == {"32": 0, "64": 1}[bound]
+    _assert_no_child_left()
 
 
 def test_verify_json_document(capsys):
@@ -250,6 +262,146 @@ class TestExitCodes:
     def test_success_is_0(self, capsys):
         assert cli.main(["fibonomial", "0", "--format", "plain"]) == 0
         capsys.readouterr()
+
+
+def _counted_forks(monkeypatch):
+    """The pids that ``os.fork`` returns to this process from now on."""
+    forks = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorker:
+    """From FORK_MIN_ORDER on, one half of `verify` and of `numbers --method both`
+    runs in a forked worker; its failures reach main as internal errors."""
+
+    # a command above the threshold, and the name of its worker half in cli
+    FORKING = [
+        (["verify", "48"], "core_property_reports"),
+        (["numbers", "fib", "96", "--method", "both"], "bf_numbers_series"),
+    ]
+
+    @pytest.mark.parametrize("argv, worker_half", FORKING, ids=["verify", "numbers"])
+    def test_worker_exception_is_raised_again(self, argv, worker_half, monkeypatch, capsys):
+        def broken(n):
+            raise ValueError("boom")
+
+        forks = _counted_forks(monkeypatch)
+        monkeypatch.setattr(cli, worker_half, broken)
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "goldencalc: internal error: ValueError: boom\n"
+        assert len(forks) == 1
+        _assert_no_child_left()
+
+    def test_a_worker_that_dies_is_one_line_and_exit_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            cli, "core_property_reports", lambda n: os.kill(os.getpid(), signal.SIGKILL)
+        )
+        assert cli.main(["verify", "48"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "goldencalc: internal error: RuntimeError: "
+            "the worker process died without a result (signal 9)\n"
+        )
+        _assert_no_child_left()
+
+    def test_an_error_in_this_process_kills_the_worker(self, monkeypatch, capsys):
+        def broken(n):
+            raise ValueError("boom")
+
+        killed = []
+        kill = os.kill
+
+        def recorded(pid, sig):
+            killed.append((pid, sig))
+            kill(pid, sig)
+
+        forks = _counted_forks(monkeypatch)
+        monkeypatch.setattr(os, "kill", recorded)
+        monkeypatch.setattr(cli, "core_property_reports", lambda n: time.sleep(60))
+        monkeypatch.setattr(cli, "verify_identities", broken)
+        start = time.perf_counter()
+        assert cli.main(["verify", "48"]) == 3
+        assert time.perf_counter() - start < 30
+        assert capsys.readouterr().err == "goldencalc: internal error: ValueError: boom\n"
+        assert killed == [(forks[0], signal.SIGKILL)]
+        _assert_no_child_left()
+
+    def test_a_failed_fork_runs_the_halves_in_sequence(self, monkeypatch, tmp_path):
+        def unavailable():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", unavailable)
+        monkeypatch.setattr(cli, "FORK_MIN_ORDER", 0)
+        fixture = "numbers_fib_5_both.csv"
+        target = tmp_path / fixture
+        assert cli.main(_with_out(GOLDEN_INVOCATIONS[fixture], target)) == 0
+        assert target.read_bytes() == (GOLDEN_DIR / fixture).read_bytes()
+
+    def test_no_golden_fixture_forks(self, monkeypatch, tmp_path):
+        def refuse():
+            raise AssertionError("a worker process was forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        _assert_fixtures_in_process(tmp_path)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "latex", "plain"])
+    def test_forked_output_is_the_sequential_output(self, fmt, monkeypatch, tmp_path):
+        commands = (["verify", "8"], ["numbers", "fib", "5", "--method", "both"])
+        sequential = []
+        for argv in commands:
+            target = tmp_path / "sequential"
+            assert cli.main([*argv, "--format", fmt, "--out", str(target)]) == 0
+            sequential.append(target.read_bytes())
+        forks = _counted_forks(monkeypatch)
+        monkeypatch.setattr(cli, "FORK_MIN_ORDER", 0)
+        for argv, expected in zip(commands, sequential):
+            target = tmp_path / "forked"
+            assert cli.main([*argv, "--format", fmt, "--out", str(target)]) == 0
+            assert target.read_bytes() == expected
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+    def test_the_worker_never_flushes_the_inherited_stdout(self):
+        # stdout is a buffered pipe here, so the text is still in its buffer at the fork
+        script = """if True:
+            import sys
+            from goldencalc import cli
+
+            sys.stdout.write("written once")
+            cli.build_numbers_document("fib", 96, "both")
+        """
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, env=env, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == b"written once"
+
+    def test_importing_the_cli_leaves_pickle_unloaded(self):
+        # perfbench's setup_s times exactly this import
+        code = "import sys, goldencalc.cli; print('pickle' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
 
 
 def test_help_exits_zero(capsys):

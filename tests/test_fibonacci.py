@@ -18,6 +18,7 @@ from goldencalc import (
     fibonomial_triangle,
     golden_power_ladders,
 )
+from goldencalc.fibonacci import ratio_rule_break
 
 from conftest import fib_by_addition, fib_factorial_by_product, fibonomial_by_ratio
 
@@ -178,14 +179,15 @@ class TestFibonomialRows:
         assert list(fibonomial_rows(FibTable(2))) == [(1,), (1, 1), (1, 1, 1)]
 
 
-class TestFactorialRatioCheck:
-    def test_accepts_exactly_the_fibonomial(self):
-        table = FibTable(40)
+class TestRatioRule:
+    def test_accepts_exactly_the_fibonomial_row(self):
+        fibs = FibTable(40).values
         for n in range(41):
+            row = fibonomial_row(n)
+            assert ratio_rule_break(n, row, fibs) is None
             for k in range(n + 1):
-                value = table.fibonomial(n, k)
-                assert table.is_fibonomial(n, k, value)
-                assert not table.is_fibonomial(n, k, value + 1)
+                skewed = row[:k] + (row[k] + 1,) + row[k + 1 :]
+                assert ratio_rule_break(n, skewed, fibs) == k
 
 
 class TestPascalRecursions:
