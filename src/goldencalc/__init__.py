@@ -7,7 +7,6 @@ routes with an exhaustive identity verifier.  No floating point anywhere.
 """
 
 from .bernoulli import (
-    BernoulliFibTable,
     bf_eval,
     bf_numbers_recursive,
     bf_numbers_series,
@@ -51,7 +50,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BernoulliFibTable",
     "Counterexample",
     "ExactnessError",
     "FibTable",

@@ -9,33 +9,29 @@ term is 1, so nothing ever divides by z in the series ring.
 Three independent routes are provided for the Fibonacci family: series
 inversion for the numbers, the Fibonomial-sum recursion for the numbers,
 and the generating-function extraction for the polynomials.  They are
-cross-checked in :mod:`goldencalc.verify`, which draws all of them from one
-:class:`BernoulliFibTable` per degree.  The recursive routes never touch a
-series, and the generating-function route never reads a number.  The
-series route never reads a Fibonomial.  The table builds its polynomials
-from the recursive numbers, so each identity that sets them against the
-reciprocal (the generating-function route, or the numbers read off it)
-compares two routes.  Everything else that needs a Fibonomial reads whole
-rows of the integer Pascal rule
-(:func:`~goldencalc.fibonacci.fibonomial_rows`), built once per degree on
-the :class:`BernoulliFibTable`: the recursive number route, the
-polynomials and the H-polynomials.  Called without shared inputs, the
-polynomial functions build the same way: one table's Pascal rows and the
-sum-rule numbers read from them.  So :func:`bf_polynomial` never inverts
-a series, and comparing it with :func:`bf_polynomial_genfunc` compares
-two routes at any n.
+cross-checked in :mod:`goldencalc.verify`, which builds each of them once
+per degree.  The recursive routes never touch a series, and the
+generating-function route never reads a number.  The series route never
+reads a Fibonomial.  Everything that needs a Fibonomial reads whole rows
+of the integer Pascal rule (:func:`~goldencalc.fibonacci.fibonomial_rows`):
+the recursive number route, the polynomials and the H-polynomials.  The
+recursive route, :func:`bf_polynomial` and :func:`h_polynomial_explicit`
+may be given those rows and the numbers; without them they build the same
+way, from one table's Pascal rows and the sum-rule numbers read from them.
+So :func:`bf_polynomial` never inverts a series, and comparing it with
+:func:`bf_polynomial_genfunc` compares two routes at any n.
 
 The two number routes share no data, and the CLI makes that physical:
-from order 96 on, ``numbers fib N --method both`` runs the series route
-in a forked worker (see :mod:`goldencalc.cli`), where it cannot read
-anything the recursive route built.  Inside
-:meth:`BernoulliFibTable.build` both routes still run in one process.
+from order :data:`goldencalc.cli.FORK_MIN_ORDER` on,
+``numbers fib N --method both`` runs the series route in a forked worker
+(see :mod:`goldencalc.cli`), where it cannot read anything the recursive
+route built.  Inside :func:`~goldencalc.verify.verify_identities` both
+routes still run in one process.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Sequence
@@ -157,30 +153,20 @@ def bf_eval(n: int, point: Fraction | int) -> Fraction:
     return Fraction(bf_polynomial(n)(Fraction(point)))
 
 
-def h_polynomial_sum(
-    n: int,
-    polynomials: Sequence[Polynomial] | None = None,
-    row: Sequence[int] | None = None,
-) -> Polynomial:
+def h_polynomial_sum(n: int) -> Polynomial:
     """H_n(x) as the weighted sum of lower polynomials:
 
         H_n(x) = sum over k of [n, k] B^F_(n-k)(x),
 
-    equal to B^F_n(x) + F_n x^(n-1).  ``polynomials`` (B^F_0..B^F_m with
-    m >= n) and ``row`` (as in :func:`bf_polynomial`) may be shared;
-    otherwise they are built here, from one table's Pascal rows as in
-    :func:`bf_polynomial`.
+    equal to B^F_n(x) + F_n x^(n-1).  The row [n, 0..n] and B^F_0..B^F_n are
+    built from one table's Pascal rows, as in :func:`bf_polynomial`.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if polynomials is None or row is None:
-        rows = tuple(fibonomial_rows(FibTable(n + 1)))
-        if polynomials is None:
-            numbers = bf_numbers_recursive(n, rows)
-            polynomials = [bf_polynomial(m, numbers, rows[m]) for m in range(n + 1)]
-        if row is None:
-            row = rows[n]
-    return linear_combination((row[k], polynomials[n - k]) for k in range(n + 1))
+    rows = tuple(fibonomial_rows(FibTable(n + 1)))
+    numbers = bf_numbers_recursive(n, rows)
+    polynomials = [bf_polynomial(m, numbers, rows[m]) for m in range(n + 1)]
+    return linear_combination((rows[n][k], polynomials[n - k]) for k in range(n + 1))
 
 
 def h_polynomial_explicit(
@@ -238,56 +224,3 @@ def classical_bernoulli_polynomial(
         coeffs[n - j] = math.comb(n, j) * numbers[j]
     return Polynomial(coeffs)
 
-
-@dataclass(frozen=True)
-class BernoulliFibTable:
-    """Everything one degree N = ``max_n`` shares, built once.
-
-    The polynomials are kept to N and the numbers to 2N, the ranges of
-    :func:`goldencalc.verify.verify_identities`.  ``numbers``
-    b^F_0..b^F_2N are read off ``reciprocal``, the inverse of
-    (e_F(z) - 1)/z; ``recursive_numbers`` come from the Fibonomial sum rule
-    and never see a series.  ``polynomials`` B^F_0..B^F_N are built from
-    the recursive numbers, so they share nothing with the reciprocal that
-    ``numbers`` and :func:`bf_polynomial_genfunc` read.  The classical
-    numbers and polynomials, to N, are kept alongside as the baseline.  ``table``
-    holds F_0..F_(2N+1) and ``rows`` the Pascal-rule Fibonomial rows
-    0..2N+1 that the recursive route and the polynomials read.
-    """
-
-    max_n: int
-    numbers: tuple[Fraction, ...]
-    polynomials: tuple[Polynomial, ...]
-    recursive_numbers: tuple[Fraction, ...]
-    reciprocal: TruncatedSeries
-    classical_numbers: tuple[Fraction, ...]
-    classical_polynomials: tuple[Polynomial, ...]
-    table: FibTable = field(compare=False)
-    rows: tuple[tuple[int, ...], ...] = field(compare=False)
-
-    @classmethod
-    def build(cls, max_n: int) -> BernoulliFibTable:
-        if max_n < 0:
-            raise ValueError("max_n must be nonnegative")
-        n_num = 2 * max_n
-        table = FibTable(n_num + 1)
-        rows = tuple(fibonomial_rows(table))
-        reciprocal = _inverse_shifted_exponential(n_num, table.factorial)
-        numbers = _numbers_from_reciprocal(reciprocal, table.factorial)
-        recursive = bf_numbers_recursive(n_num, rows)
-        polys = tuple(bf_polynomial(n, recursive, rows[n]) for n in range(max_n + 1))
-        classical = classical_bernoulli_numbers(max_n)
-        classical_polys = tuple(
-            classical_bernoulli_polynomial(n, classical) for n in range(max_n + 1)
-        )
-        return cls(
-            max_n,
-            tuple(numbers),
-            polys,
-            tuple(recursive),
-            reciprocal,
-            tuple(classical),
-            classical_polys,
-            table,
-            rows,
-        )

@@ -34,7 +34,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -73,23 +73,27 @@ def _side_by_side(first: Callable[[], object], second: Callable[[], object], ord
     over a pipe while this process runs ``second``.  Its exception is raised
     again here, and a worker that dies without an outcome raises
     RuntimeError.  If ``second`` raises, the worker is killed.  Either way it
-    is reaped before this returns.  Below the threshold, without ``os.fork``,
-    or when it fails, the two run one after the other.  The CLI starts no
-    thread, so forking it is safe.
+    is reaped before this returns, by this process or, when SIGCHLD is
+    ignored, by the kernel.  Below the threshold, without ``os.fork``, or
+    when the pipe or the fork fails, the two run one after the other.  The
+    CLI starts no thread, so forking it is safe.
     """
     if order < FORK_MIN_ORDER or not hasattr(os, "fork"):
         return first(), second()
     import pickle
     import signal
 
-    read_fd, write_fd = os.pipe()
+    pipe_fds = ()
     try:
+        pipe_fds = os.pipe()
         pid = os.fork()
     except OSError:
-        # no process to spare (EAGAIN, ENOMEM): one after the other still works
-        os.close(read_fd)
-        os.close(write_fd)
+        # no descriptor or process to spare (EMFILE, EAGAIN, ENOMEM): one
+        # after the other still works
+        for fd in pipe_fds:
+            os.close(fd)
         return first(), second()
+    read_fd, write_fd = pipe_fds
     if pid == 0:
         # never return into the caller, and never flush the inherited stdout
         exit_code = 1
@@ -110,13 +114,22 @@ def _side_by_side(first: Callable[[], object], second: Callable[[], object], ord
             second_result = second()
             data = pipe.read()
         except BaseException:
-            os.kill(pid, signal.SIGKILL)
+            with suppress(ProcessLookupError):  # already gone, see below
+                os.kill(pid, signal.SIGKILL)
             raise
         finally:
-            _, status = os.waitpid(pid, 0)
+            try:
+                _, status = os.waitpid(pid, 0)
+            except ChildProcessError:
+                # SIGCHLD is ignored (inherited across exec), so the kernel
+                # reaped the worker itself once it ended
+                status = None
     if not data:
-        code = os.waitstatus_to_exitcode(status)
-        how = f"signal {-code}" if code < 0 else f"exit code {code}"
+        if status is None:
+            how = "exit status lost: SIGCHLD is ignored"
+        else:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"signal {-code}" if code < 0 else f"exit code {code}"
         raise RuntimeError(f"the worker process died without a result ({how})")
     ok, value = pickle.loads(data)
     if not ok:
@@ -365,8 +378,9 @@ def main(argv: list[str] | None = None) -> int:
             handle.write("\n")
             handle.flush()
     except OSError as exc:
-        # Nothing goldencalc computes does I/O, so this is the output's own
-        # error: an unwritable --out path, or a full or closed stdout.
+        # Computing does no I/O, and _side_by_side handles the OSErrors of its
+        # own worker mechanics (pipe, fork, reaping), so this is the output's
+        # own error: an unwritable --out path, or a full or closed stdout.
         target = args.out or "stdout"
         print(f"goldencalc: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return 2

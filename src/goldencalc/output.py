@@ -1,13 +1,15 @@
 """Structured output documents and their chunk writers.
 
 Every CLI command produces one OutputDocument.  For each (format, kind)
-there is one writer, a generator of text chunks whose concatenation is
-the document in that format without its final newline.  ``cli.main``
-writes the chunks as they come, so no format holds a whole table, and
-:meth:`OutputDocument.render` is their join.  A payload may be a lazy,
-re-iterable view (the Fibonomial triangle computes one row at a time);
-writers only iterate it.  Writing is a pure function of the document, so
-identical invocations are byte-identical.
+there is one writer.  A JSON writer yields text chunks; any other writer
+yields lines, which :meth:`OutputDocument.chunks` joins with its format's
+line separator ("\\r\\n" for CSV, "\\n" for LaTeX and plain text).
+Either way the chunks concatenate to the document in that format without
+its final newline.  ``cli.main`` writes the chunks as they come, so no
+format holds a whole table, and :meth:`OutputDocument.render` is their
+join.  A payload may be a lazy, re-iterable view (the Fibonomial triangle
+computes one row at a time); writers only iterate it.  Writing is a pure
+function of the document, so identical invocations are byte-identical.
 
 The bytes are those of the standard encoders: JSON is
 ``json.dumps(body, indent=2)`` of ``{kind, metadata, payload}``, with a
@@ -23,7 +25,6 @@ signed sum of monomials (B_n(x), (x+y)_F^n).
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -33,6 +34,8 @@ from .polynomials import binomial_factors, render_coefficients, render_terms
 from .rationals import latex_rational
 
 FORMATS = ("json", "csv", "latex", "plain")
+# A JSON writer yields chunks; any other writer yields lines, joined by its format's separator.
+_LINE_SEPARATORS = {"csv": "\r\n", "latex": "\n", "plain": "\n"}
 
 
 @dataclass(frozen=True)
@@ -48,10 +51,21 @@ class OutputDocument:
         writer = _WRITERS.get((fmt, self.kind))
         if writer is None:
             raise ValueError(f"unknown kind: {self.kind!r}")
-        return writer(self)
+        separator = _LINE_SEPARATORS.get(fmt)
+        return writer(self) if separator is None else _joined(writer, self, separator)
 
     def render(self, fmt: str) -> str:
         return "".join(self.chunks(fmt))
+
+
+def _joined(writer: Callable, doc: OutputDocument, separator: str) -> Iterator[str]:
+    """The chunks of ``separator.join(writer(doc))``."""
+    lines = iter(writer(doc))
+    for line in lines:
+        yield line
+        break
+    for line in lines:
+        yield separator + line
 
 
 def load_schema() -> dict:
@@ -65,24 +79,6 @@ def _symbol(letter: str, variant: str, n, latex: bool = False) -> str:
     if latex:
         return f"{letter}_{{{n}}}" if variant == "classical" else f"{letter}^{{F}}_{{{n}}}"
     return f"{letter}_{n}" if variant == "classical" else f"{letter}_{n}^F"
-
-
-def _lines(separator: str) -> Callable:
-    """Make a writer of a generator of lines: its chunks join to ``separator.join(lines)``."""
-
-    def decorate(lines: Callable[[OutputDocument], Iterable[str]]) -> Callable:
-        @functools.wraps(lines)
-        def write(doc: OutputDocument) -> Iterator[str]:
-            rest = iter(lines(doc))
-            for line in rest:
-                yield line
-                break
-            for line in rest:
-                yield separator + line
-
-        return write
-
-    return decorate
 
 
 # -- JSON --------------------------------------------------------------
@@ -152,7 +148,6 @@ def _flag(value: bool) -> str:
     return str(value).lower()
 
 
-@_lines("\r\n")
 def _csv_numbers(doc: OutputDocument):
     if doc.metadata["method"] == "both":
         yield _csv_line(["n", "series", "recursive", "match"])
@@ -164,37 +159,33 @@ def _csv_numbers(doc: OutputDocument):
             yield _csv_line([row["n"], row["value"]])
 
 
-@_lines("\r\n")
 def _csv_polynomials(doc: OutputDocument):
     yield _csv_line(["degree", "coefficient"])
     for i, c in enumerate(doc.payload["coefficients"]):
         yield _csv_line([i, c])
 
 
-@_lines("\r\n")
 def _csv_fibonomials(doc: OutputDocument):
     yield _csv_line(["n", "k", "value"])
     for row in doc.payload:
         n = row["n"]
-        # ints and decimal digit strings: no field needs quoting
-        yield "\r\n".join(f"{n},{k},{value}" for k, value in enumerate(row["row"]))
+        # the row's records in one chunk; ints and decimal digit strings need no quoting
+        entries = (f"{n},{k},{value}" for k, value in enumerate(row["row"]))
+        yield _LINE_SEPARATORS["csv"].join(entries)
 
 
-@_lines("\r\n")
 def _csv_binomial(doc: OutputDocument):
     yield _csv_line(["k", "sign", "coefficient", "monomial"])
     for term in doc.payload["terms"]:
         yield _csv_line([term["k"], term["sign"], term["coefficient"], term["monomial"]])
 
 
-@_lines("\r\n")
 def _csv_evaluation(doc: OutputDocument):
     meta = doc.metadata
     yield _csv_line(["variant", "n", "x", "value"])
     yield _csv_line([meta["variant"], meta["n"], meta["x"], doc.payload["value"]])
 
 
-@_lines("\r\n")
 def _csv_verification(doc: OutputDocument):
     yield _csv_line(
         [
@@ -244,7 +235,6 @@ def _align(lhs: str, rhs: str) -> Iterator[str]:
     yield "\\end{align*}"
 
 
-@_lines("\n")
 def _latex_numbers(doc: OutputDocument):
     symbol = _symbol("b", doc.metadata["variant"], "n", latex=True)
     if doc.metadata["method"] == "both":
@@ -262,7 +252,6 @@ def _latex_numbers(doc: OutputDocument):
     return _tabular(["$n$", f"${symbol}$"], rows, "rr")
 
 
-@_lines("\n")
 def _latex_polynomials(doc: OutputDocument):
     meta = doc.metadata
     return _align(
@@ -271,7 +260,6 @@ def _latex_polynomials(doc: OutputDocument):
     )
 
 
-@_lines("\n")
 def _latex_fibonomials(doc: OutputDocument):
     width = doc.metadata["max_n"] + 1
     rows = (
@@ -281,7 +269,6 @@ def _latex_fibonomials(doc: OutputDocument):
     return _tabular(["$n$"] + [f"$k={k}$" for k in range(width)], rows, "r" * (width + 1))
 
 
-@_lines("\n")
 def _latex_binomial(doc: OutputDocument):
     n = doc.metadata["n"]
     terms = (
@@ -294,7 +281,6 @@ def _latex_binomial(doc: OutputDocument):
     return _align(f"(x+y)_F^{{{n}}}", render_terms(terms, latex=True))
 
 
-@_lines("\n")
 def _latex_evaluation(doc: OutputDocument):
     meta = doc.metadata
     point = latex_rational(meta["x"])
@@ -304,7 +290,6 @@ def _latex_evaluation(doc: OutputDocument):
     )
 
 
-@_lines("\n")
 def _latex_verification(doc: OutputDocument):
     rows = (
         [
@@ -317,7 +302,6 @@ def _latex_verification(doc: OutputDocument):
     return _tabular(["identity", "range", "result"], rows, "lrr")
 
 
-@_lines("\n")
 def _plain_numbers(doc: OutputDocument):
     variant = doc.metadata["variant"]
     if doc.metadata["method"] == "both":
@@ -332,31 +316,26 @@ def _plain_numbers(doc: OutputDocument):
             yield f"{_symbol('b', variant, row['n'])} = {row['value']}"
 
 
-@_lines("\n")
 def _plain_polynomials(doc: OutputDocument):
     meta = doc.metadata
     yield f"{_symbol('B', meta['variant'], meta['n'])}(x) = {doc.payload['rendered']}"
     yield "coefficients (ascending): " + ", ".join(doc.payload["coefficients"])
 
 
-@_lines("\n")
 def _plain_fibonomials(doc: OutputDocument):
     for row in doc.payload:
         yield f"row {row['n']}: " + " ".join(row["row"])
 
 
-@_lines("\n")
 def _plain_binomial(doc: OutputDocument):
     yield f"(x+y)_F^{doc.metadata['n']} = {doc.payload['rendered']}"
 
 
-@_lines("\n")
 def _plain_evaluation(doc: OutputDocument):
     meta = doc.metadata
     yield f"{_symbol('B', meta['variant'], meta['n'])}({meta['x']}) = {doc.payload['value']}"
 
 
-@_lines("\n")
 def _plain_verification(doc: OutputDocument):
     failures = 0
     for row in doc.payload:

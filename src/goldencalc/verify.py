@@ -13,8 +13,7 @@ scale off one degree parameter N: polynomial-level identities run to N,
 number-level identities to 2N, and the Binet cross-check to 8N, so the
 default N = 32 exercises degrees 32/64/256 respectively.
 
-Shared work is built once per degree.  The Bernoulli layer draws every
-identity from one :class:`~goldencalc.bernoulli.BernoulliFibTable`: one
+Shared work is built once per degree.  ``verify_identities`` builds one
 Fibonacci table, the Pascal-rule Fibonomial rows 0..2N+1, one reciprocal
 of (e_F(z) - 1)/z and both number routes over 0..2N, and B^F_0..B^F_N
 with the classical numbers and polynomials over 0..N, since no identity
@@ -29,12 +28,13 @@ second Fibonomial route is the ratio rule [n, k+1] F_(k+1) = [n, k] F_(n-k)
 of ``fibonomial-integrality``, which proves every row entry equal to the
 factorial ratio; the ratio itself is formed only for a counterexample.
 
-The two layers share no table, row or ladder.  So from 2N = 96 on, the
-CLI runs ``core_property_reports`` in a forked worker beside
-``verify_identities`` (see :mod:`goldencalc.cli`): neither layer can read
-what the other built, and the reports come back in the same order.
+The two layers share no table, row or ladder.  So from order
+2N = :data:`goldencalc.cli.FORK_MIN_ORDER` on, the CLI runs
+``core_property_reports`` in a forked worker beside ``verify_identities``
+(see :mod:`goldencalc.cli`): neither layer can read what the other built,
+and the reports come back in the same order.
 
-The table's polynomials come from the recursive numbers, while the series
+The polynomials B^F_n come from the recursive numbers, while the series
 numbers and the generating-function polynomials are read off the
 reciprocal.  So ``polynomials-cross-method``,
 ``value-at-one-equals-number``, ``h-polynomial-two-derivations`` and
@@ -57,9 +57,14 @@ from itertools import islice
 from typing import Callable
 
 from .bernoulli import (
-    BernoulliFibTable,
+    _inverse_shifted_exponential,
+    _numbers_from_reciprocal,
+    bf_numbers_recursive,
     bf_numbers_series,  # noqa: F401  (perfbench's tracer test patches it here)
+    bf_polynomial,
     bf_polynomial_genfunc,
+    classical_bernoulli_numbers,
+    classical_bernoulli_polynomial,
     h_polynomial_explicit,
 )
 from .fibonacci import (
@@ -136,14 +141,16 @@ def verify_identities(max_degree: int) -> list[VerificationReport]:
     n_poly = max_degree
     n_num = 2 * max_degree
 
-    memo = BernoulliFibTable.build(max_degree)
-    fib_table = memo.table
-    rows = memo.rows
-    series_numbers = memo.numbers
-    recursive_numbers = memo.recursive_numbers
-    polys = memo.polynomials
-    classical_nums = memo.classical_numbers
-    classical_polys = memo.classical_polynomials
+    fib_table = FibTable(n_num + 1)
+    rows = tuple(fibonomial_rows(fib_table))
+    reciprocal = _inverse_shifted_exponential(n_num, fib_table.factorial)
+    series_numbers = _numbers_from_reciprocal(reciprocal, fib_table.factorial)
+    recursive_numbers = bf_numbers_recursive(n_num, rows)
+    polys = [bf_polynomial(n, recursive_numbers, rows[n]) for n in range(n_poly + 1)]
+    classical_nums = classical_bernoulli_numbers(n_poly)
+    classical_polys = [
+        classical_bernoulli_polynomial(n, classical_nums) for n in range(n_poly + 1)
+    ]
 
     def fib_monomial(n):
         return Polynomial.monomial(n - 1, Fraction(fib_table.fib(n)))
@@ -159,7 +166,7 @@ def verify_identities(max_degree: int) -> list[VerificationReport]:
             "polynomials-cross-method",
             0,
             n_poly,
-            lambda n: (polys[n], bf_polynomial_genfunc(n, memo.reciprocal, fib_table)),
+            lambda n: (polys[n], bf_polynomial_genfunc(n, reciprocal, fib_table)),
         ),
         _run(
             "golden-derivative-lowers-degree",
@@ -197,10 +204,10 @@ def verify_identities(max_degree: int) -> list[VerificationReport]:
             0,
             n_num,
             # F_n! r_n off the shared reciprocal, the x^0 coefficient the
-            # genfunc route would give; this is how memo.numbers is read, so
+            # genfunc route would give; this is how series_numbers is read, so
             # it re-derives the series numbers of numbers-cross-method
             lambda n: (
-                fib_table.factorial(n) * memo.reciprocal.coefficient(n),
+                fib_table.factorial(n) * reciprocal.coefficient(n),
                 recursive_numbers[n],
             ),
         ),

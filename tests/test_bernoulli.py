@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from goldencalc import (
-    BernoulliFibTable,
     FibTable,
     Polynomial,
     TruncatedSeries,
@@ -169,7 +168,8 @@ class TestPolynomials:
     def test_rows_replace_the_factorial_ratio(self, monkeypatch):
         numbers = bf_numbers_series(20)
         expected = [bf_polynomial(n, numbers) for n in range(21)]
-        h_expected = [h_polynomial_sum(n) for n in range(1, 21)]
+        # H_n = B^F_n + F_n x^(n-1)
+        h_expected = [expected[n] + Polynomial.monomial(n - 1, F(fib(n))) for n in range(1, 21)]
         rows = list(fibonomial_rows(FibTable(20)))
 
         def forbidden(*args):
@@ -179,7 +179,7 @@ class TestPolynomials:
         for n in range(21):
             assert bf_polynomial(n, numbers, row=rows[n]) == expected[n]
         for n in range(1, 21):
-            assert h_polynomial_sum(n, expected, row=rows[n]) == h_expected[n - 1]
+            assert h_polynomial_sum(n) == h_expected[n - 1]
             assert h_polynomial_explicit(n, numbers, row=rows[n]) == h_expected[n - 1]
 
     def test_genfunc_route_agrees(self):
@@ -222,7 +222,9 @@ class TestPolynomials:
 
     def test_genfunc_never_reads_numbers(self, monkeypatch):
         expected = [bf_polynomial(n) for n in range(33)]
-        memo = BernoulliFibTable.build(32)
+        # a reciprocal and table shared by every degree, as verify_identities shares them
+        table = FibTable(33)
+        reciprocal = bernoulli._inverse_shifted_exponential(32, table.factorial)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the generating-function route read a number")
@@ -231,7 +233,7 @@ class TestPolynomials:
         monkeypatch.setattr(bernoulli, "bf_numbers_recursive", forbidden)
         for n in range(33):
             assert bf_polynomial_genfunc(n) == expected[n]
-            assert bf_polynomial_genfunc(n, memo.reciprocal, memo.table) == expected[n]
+            assert bf_polynomial_genfunc(n, reciprocal, table) == expected[n]
 
 
 class TestEvaluation:
@@ -295,11 +297,14 @@ class TestHPolynomials:
             assert h_polynomial_sum(n) == expected
 
     def test_shared_inputs_give_the_same_polynomials(self):
-        memo = BernoulliFibTable.build(12)
+        # numbers to 2N and rows 0..2N+1, shared by every degree up to N = 12
+        numbers = bf_numbers_series(24)
+        rows = tuple(fibonomial_rows(FibTable(25)))
         for n in range(1, 13):
             expected = h_polynomial_sum(n)
-            assert h_polynomial_sum(n, memo.polynomials, memo.rows[n]) == expected
-            assert h_polynomial_explicit(n, memo.numbers, memo.rows[n]) == expected
+            polynomial = bf_polynomial(n, numbers, rows[n])
+            assert polynomial + Polynomial.monomial(n - 1, F(fib(n))) == expected
+            assert h_polynomial_explicit(n, numbers, rows[n]) == expected
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -355,37 +360,3 @@ class TestClassicalBaseline:
             rhs = classical_bernoulli_polynomial(n - 1, numbers) * n
             assert lhs == rhs
 
-
-class TestBernoulliFibTable:
-    def test_build_consistency(self):
-        table = BernoulliFibTable.build(12)
-        assert table.max_n == 12
-        assert list(table.numbers) == bf_numbers_series(24)
-        for n in range(13):
-            # built from the recursive numbers, checked against the series ones
-            assert table.polynomials[n].constant_term == table.numbers[n]
-            assert table.polynomials[n].degree == n
-
-    def test_builds_the_pascal_rows_once(self, monkeypatch):
-        calls = []
-        rows = bernoulli.fibonomial_rows
-
-        def counted(table):
-            calls.append(table.limit)
-            return rows(table)
-
-        monkeypatch.setattr(bernoulli, "fibonomial_rows", counted)
-        BernoulliFibTable.build(16)
-        assert calls == [33]
-
-    def test_holds_every_route_of_one_degree(self):
-        # polynomials to the degree, numbers to twice it
-        memo = BernoulliFibTable.build(12)
-        assert memo.table.limit == 25
-        assert memo.reciprocal.order == 24
-        assert memo.rows == tuple(fibonomial_rows(FibTable(25)))
-        assert list(memo.recursive_numbers) == bf_numbers_recursive(24)
-        assert len(memo.polynomials) == len(memo.classical_polynomials) == 13
-        assert list(memo.classical_numbers) == classical_bernoulli_numbers(12)
-        for n in range(13):
-            assert memo.classical_polynomials[n] == classical_bernoulli_polynomial(n)

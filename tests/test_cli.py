@@ -354,6 +354,80 @@ class TestWorker:
         assert cli.main(_with_out(GOLDEN_INVOCATIONS[fixture], target)) == 0
         assert target.read_bytes() == (GOLDEN_DIR / fixture).read_bytes()
 
+    def test_a_failed_pipe_runs_the_halves_in_sequence(self, monkeypatch, tmp_path):
+        def exhausted():
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        forks = _counted_forks(monkeypatch)
+        monkeypatch.setattr(os, "pipe", exhausted)
+        monkeypatch.setattr(cli, "FORK_MIN_ORDER", 0)
+        fixture = "numbers_fib_5_both.csv"
+        target = tmp_path / fixture
+        assert cli.main(_with_out(GOLDEN_INVOCATIONS[fixture], target)) == 0
+        assert target.read_bytes() == (GOLDEN_DIR / fixture).read_bytes()
+        assert forks == []
+
+    # A fresh interpreter that ignores SIGCHLD, as a launcher's setting would
+    # leave it, so the kernel reaps each worker; it prints its fork count to
+    # stderr after main's own lines.
+    SIGCHLD_IGNORED = """if True:
+        import os, signal, sys
+        signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        from goldencalc import cli
+
+        forks = []
+        fork = os.fork
+
+        def counting():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        os.fork = counting
+        cli.FORK_MIN_ORDER = 0
+        {setup}
+        code = cli.main(sys.argv[1:])
+        print(len(forks), file=sys.stderr)
+        sys.exit(code)
+    """
+
+    @pytest.mark.parametrize(
+        "argv", [["verify", "8"], ["numbers", "fib", "5", "--method", "both"]], ids=" ".join
+    )
+    def test_a_worker_the_kernel_reaped_still_delivers(self, argv):
+        script = self.SIGCHLD_IGNORED.format(setup="")
+        forked = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, timeout=120
+        )
+        assert (forked.returncode, forked.stderr) == (0, b"1\n")
+        assert forked.stdout == run_cli(*argv).stdout
+
+    def test_an_error_here_after_the_kernel_reaped_the_worker(self):
+        # this half fails only once the worker is gone, so SIGKILL finds no process
+        setup = """
+        import time
+
+        def broken(n):
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                try:
+                    os.kill(forks[0], 0)
+                except ProcessLookupError:
+                    break
+                time.sleep(0.01)
+            raise ValueError("boom")
+
+        cli.verify_identities = broken
+        """
+        script = self.SIGCHLD_IGNORED.format(setup=setup)
+        result = subprocess.run(
+            [sys.executable, "-c", script, "verify", "8"], capture_output=True, timeout=120
+        )
+        assert result.returncode == 3
+        assert result.stderr == b"goldencalc: internal error: ValueError: boom\n1\n"
+        assert result.stdout == b""
+
     def test_no_golden_fixture_forks(self, monkeypatch, tmp_path):
         def refuse():
             raise AssertionError("a worker process was forked")

@@ -1,18 +1,21 @@
-import math
 import time
 from fractions import Fraction
 
 import pytest
 
 from goldencalc import (
-    BernoulliFibTable,
     FibTable,
     Polynomial,
     TruncatedSeries,
+    bf_numbers_recursive,
+    bf_numbers_series,
+    classical_bernoulli_numbers,
+    classical_bernoulli_polynomial,
     core_property_reports,
+    fibonomial_rows,
     verify_identities,
 )
-from goldencalc import bernoulli, verify
+from goldencalc import verify
 from goldencalc.verify import VerificationReport, _run
 
 EXPECTED_IDENTITIES = {
@@ -110,14 +113,14 @@ def test_fibonomial_integrality_checks_the_ratio_rule(monkeypatch):
 
 
 def test_constant_term_compares_genfunc_with_the_recursive_route(monkeypatch):
-    recursive = bernoulli.bf_numbers_recursive
+    recursive = verify.bf_numbers_recursive
 
     def corrupted(*args, **kwargs):
         numbers = recursive(*args, **kwargs)
         numbers[10] += Fraction(1, 7)
         return numbers
 
-    monkeypatch.setattr(bernoulli, "bf_numbers_recursive", corrupted)
+    monkeypatch.setattr(verify, "bf_numbers_recursive", corrupted)
     reports = {r.identity: r for r in verify_identities(8)}
     report = reports["constant-term-equals-number"]
     assert not report.passed
@@ -141,28 +144,26 @@ ROUTE_CROSS_CHECKS = {
 
 
 def _fault_in_the_fibonacci_reciprocal(monkeypatch):
-    inverse = bernoulli._inverse_shifted_exponential
+    # verify inverts only the Fibonacci family's series through this binding
+    inverse = verify._inverse_shifted_exponential
 
     def faulty(order, factorial):
-        reciprocal = inverse(order, factorial)
-        if factorial is math.factorial:  # the classical family stays sound
-            return reciprocal
-        coeffs = list(reciprocal.coeffs)
+        coeffs = list(inverse(order, factorial).coeffs)
         coeffs[5] += Fraction(1, 7)
         return TruncatedSeries(coeffs)
 
-    monkeypatch.setattr(bernoulli, "_inverse_shifted_exponential", faulty)
+    monkeypatch.setattr(verify, "_inverse_shifted_exponential", faulty)
 
 
 def _fault_in_a_number(monkeypatch, name, index):
-    route = getattr(bernoulli, name)
+    route = getattr(verify, name)
 
     def faulty(*args, **kwargs):
         numbers = route(*args, **kwargs)
         numbers[index] += Fraction(1, 7)
         return numbers
 
-    monkeypatch.setattr(bernoulli, name, faulty)
+    monkeypatch.setattr(verify, name, faulty)
 
 
 # fault -> the exact set of Bernoulli-layer identities it turns red at N = 16
@@ -202,7 +203,7 @@ FIBONACCI_FAMILY = {name for name in EXPECTED_IDENTITIES if not name.startswith(
 
 
 def test_a_pascal_row_fault_turns_the_fibonacci_family_red(monkeypatch):
-    _skewed_rows(monkeypatch, bernoulli, 5, 4)
+    _skewed_rows(monkeypatch, verify, 5, 4)
     red = {r.identity for r in verify_identities(8) if not r.passed}
     assert len(FIBONACCI_FAMILY) == 9
     assert red == FIBONACCI_FAMILY
@@ -280,21 +281,84 @@ def test_no_factorial_ratio_outside_the_integrality_check(monkeypatch):
     assert all(report.passed for report in core_property_reports(16))
 
 
+def _recorded(monkeypatch, name):
+    """The (args, result) of each call of ``verify.<name>`` from now on."""
+    calls = []
+    original = getattr(verify, name)
+
+    def recording(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(verify, name, recording)
+    return calls
+
+
+# what verify_identities builds its inputs with, once per degree
+INPUT_BUILDERS = (
+    "fibonomial_rows",
+    "_inverse_shifted_exponential",
+    "_numbers_from_reciprocal",
+    "bf_numbers_recursive",
+    "bf_polynomial",
+    "classical_bernoulli_numbers",
+    "classical_bernoulli_polynomial",
+)
+
+
+def _inputs_of_verify_identities(monkeypatch, max_degree):
+    """The recorded calls of each input builder in one passing ``verify_identities``."""
+    calls = {name: _recorded(monkeypatch, name) for name in INPUT_BUILDERS}
+    assert all(report.passed for report in verify_identities(max_degree))
+    return calls
+
+
 def test_polynomials_are_built_only_to_the_polynomial_degree(monkeypatch):
-    built = []
-    build = BernoulliFibTable.build
+    calls = _inputs_of_verify_identities(monkeypatch, 8)
+    assert [args[0] for args, _ in calls["bf_polynomial"]] == list(range(9))
+    assert [args[0] for args, _ in calls["classical_bernoulli_polynomial"]] == list(range(9))
+    [(_, classical)] = calls["classical_bernoulli_numbers"]
+    assert len(classical) == 9
+    [(_, series)] = calls["_numbers_from_reciprocal"]
+    [((_, rows), recursive)] = calls["bf_numbers_recursive"]
+    assert len(series) == len(recursive) == 17
+    assert len(rows) == 18
 
-    def capture(*args, **kwargs):
-        built.append(build(*args, **kwargs))
-        return built[-1]
 
-    monkeypatch.setattr(BernoulliFibTable, "build", capture)
-    assert all(report.passed for report in verify_identities(8))
-    (memo,) = built
-    assert len(memo.polynomials) == len(memo.classical_polynomials) == 9
-    assert len(memo.classical_numbers) == 9
-    assert len(memo.numbers) == len(memo.recursive_numbers) == 17
-    assert len(memo.rows) == 18
+def test_builds_the_pascal_rows_once(monkeypatch):
+    calls = _recorded(monkeypatch, "fibonomial_rows")
+    assert all(report.passed for report in verify_identities(16))
+    assert [table.limit for (table,), _ in calls] == [33]
+
+
+def test_polynomials_are_built_from_the_recursive_numbers(monkeypatch):
+    calls = _inputs_of_verify_identities(monkeypatch, 12)
+    [(_, series)] = calls["_numbers_from_reciprocal"]
+    [(_, recursive)] = calls["bf_numbers_recursive"]
+    assert series == bf_numbers_series(24)
+    for n, (args, polynomial) in enumerate(calls["bf_polynomial"]):
+        # built from the recursive numbers, checked against the series ones
+        assert args[0] == n and args[1] is recursive
+        assert polynomial.constant_term == series[n]
+        assert polynomial.degree == n
+
+
+def test_builds_every_route_of_one_degree(monkeypatch):
+    # polynomials to the degree, numbers to twice it
+    calls = _inputs_of_verify_identities(monkeypatch, 12)
+    [((table,), _)] = calls["fibonomial_rows"]
+    assert table.limit == 25
+    [((order, _), reciprocal)] = calls["_inverse_shifted_exponential"]
+    assert order == reciprocal.order == 24
+    [((_, rows), recursive)] = calls["bf_numbers_recursive"]
+    assert rows == tuple(fibonomial_rows(FibTable(25)))
+    assert recursive == bf_numbers_recursive(24)
+    assert len(calls["bf_polynomial"]) == len(calls["classical_bernoulli_polynomial"]) == 13
+    [(_, classical)] = calls["classical_bernoulli_numbers"]
+    assert classical == classical_bernoulli_numbers(12)
+    for n, (args, polynomial) in enumerate(calls["classical_bernoulli_polynomial"]):
+        assert args[0] == n
+        assert polynomial == classical_bernoulli_polynomial(n)
 
 
 def test_reports_are_deterministic():
@@ -347,7 +411,8 @@ def test_bernoulli_layer_inverts_one_series_per_family(monkeypatch):
 
     monkeypatch.setattr(TruncatedSeries, "inverse", counted)
     assert all(report.passed for report in verify_identities(16))
-    assert len(calls) == 2
+    # the Fibonacci family's reciprocal at order 2N, the classical one at N
+    assert sorted(calls) == [16, 32]
 
 
 def test_degree_64_within_wall_clock_cap():
