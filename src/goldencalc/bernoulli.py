@@ -133,14 +133,15 @@ def bf_polynomial_genfunc(
         B^F_n(x) = sum over k of (F_n!/F_k!) r_(n-k) x^k.
 
     Independent of :func:`bf_polynomial`: no Bernoulli-Fibonacci number is
-    computed along the way.  Pass both or neither of a shared
-    ``reciprocal`` (order >= n) and its ``table`` (limit >= n); when either
-    is missing, both are built here.
+    computed along the way.  A shared ``reciprocal`` (order >= n) and
+    ``table`` (limit >= n, or n + 1 to build the reciprocal from it) may be
+    passed; whichever is missing is built here, the reciprocal from ``table``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if reciprocal is None or table is None:
+    if table is None:
         table = FibTable(n + 1)
+    if reciprocal is None:
         reciprocal = _inverse_shifted_exponential(n, table.factorial)
     top = table.factorial(n)
     return Polynomial(

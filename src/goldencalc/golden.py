@@ -16,6 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .rationals import format_rational
+
 
 class ExactnessError(ArithmeticError):
     """A computation that must be exact left a nonzero residue behind."""
@@ -66,15 +68,19 @@ class GoldenNumber:
         return Fraction(self._y, self._d)
 
     def __repr__(self) -> str:
-        return f"GoldenNumber({self.a!r}, {self.b!r})"
+        a, b = (
+            f"Fraction({format_rational(q.numerator)}, {format_rational(q.denominator)})"
+            for q in (self.a, self.b)
+        )
+        return f"GoldenNumber({a}, {b})"
 
     def __str__(self) -> str:
+        a, b = format_rational(self.a), format_rational(abs(self.b))
         if self._y == 0:
-            return str(self.a)
+            return a
         if self._x == 0:
-            return f"{self.b}*sqrt5"
-        sign = "+" if self._y > 0 else "-"
-        return f"{self.a} {sign} {abs(self.b)}*sqrt5"
+            return f"{'-' if self._y < 0 else ''}{b}*sqrt5"
+        return f"{a} {'+' if self._y > 0 else '-'} {b}*sqrt5"
 
     def _coerce(self, other: object) -> GoldenNumber | None:
         if isinstance(other, GoldenNumber):
@@ -165,24 +171,12 @@ class GoldenNumber:
             n >>= 1
         return result
 
-    def conjugate(self) -> GoldenNumber:
-        """The field automorphism sqrt5 -> -sqrt5."""
-        return GoldenNumber._raw(self._x, -self._y, self._d)
-
-    def norm(self) -> Fraction:
-        """a^2 - 5*b^2; multiplicative, zero only for zero."""
-        return Fraction(self._x * self._x - 5 * self._y * self._y, self._d * self._d)
-
     def inverse(self) -> GoldenNumber:
         # 1/((x + y sqrt5)/d) = d (x - y sqrt5) / (x^2 - 5 y^2)
         n = self._x * self._x - 5 * self._y * self._y
         if n == 0:
             raise ZeroDivisionError("zero has no inverse in Q(sqrt5)")
         return _reduced(self._d * self._x, -self._d * self._y, n)
-
-    @property
-    def is_rational(self) -> bool:
-        return self._y == 0
 
     def to_rational(self) -> Fraction:
         """Coerce to Fraction; the sqrt5 part must have cancelled exactly."""

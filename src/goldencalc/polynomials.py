@@ -1,8 +1,10 @@
-"""Dense univariate polynomials over exact coefficient rings.
+"""Dense univariate polynomials with exact rational coefficients.
 
-Coefficient slots hold Fraction, GoldenNumber, or any other exact ring
-element; index i is the coefficient of x^i.  The stored tuple never has
-a trailing zero, so degree = len - 1 and the zero polynomial is empty.
+Coefficient slots hold ints and Fractions; index i is the coefficient of
+x^i.  The stored tuple never has a trailing zero, so degree = len - 1 and
+the zero polynomial is empty.  Q(sqrt5) arithmetic stays in
+:mod:`goldencalc.golden` and the routes that need it: the dilatation
+oracle below works on single coefficients and reads back a rational.
 
 The Golden binomial (x + y)_F^n is kept as its coefficients, the signed
 Fibonomial row, built by the Pascal rule unless a row is passed.
@@ -12,10 +14,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .fibonacci import FibTable, _pascal_row
-from .golden import PHI, ExactnessError, GoldenNumber
+from .fibonacci import FibTable, _pascal_row, golden_power_ladders
+from .golden import PHI, ExactnessError
 from .rationals import format_rational, latex_rational, sum_of_products
 
 
@@ -36,7 +38,7 @@ class Polynomial:
     def monomial(cls, degree: int, coefficient=Fraction(1)) -> Polynomial:
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        # coefficient * 0 is the zero of whatever ring we were handed
+        # coefficient * 0 is a zero of the coefficient's own type
         return cls((coefficient * 0,) * degree + (coefficient,))
 
     @property
@@ -64,11 +66,11 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction, GoldenNumber)):
+        if isinstance(other, (int, Fraction)):
             return self == Polynomial.constant(other)
         return NotImplemented
 
-    __hash__ = None  # mutable-style algebraic value; equality crosses rings
+    __hash__ = None  # mutable-style algebraic value; equal to its int or Fraction constant
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -104,7 +106,7 @@ class Polynomial:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] = out[i + j] + a * b
             return Polynomial(out)
-        if isinstance(other, (int, Fraction, GoldenNumber)):
+        if isinstance(other, (int, Fraction)):
             return Polynomial(c * other for c in self.coeffs)
         return NotImplemented
 
@@ -113,7 +115,7 @@ class Polynomial:
     def _coerce(self, other: object) -> Polynomial | None:
         if isinstance(other, Polynomial):
             return other
-        if isinstance(other, (int, Fraction, GoldenNumber)):
+        if isinstance(other, (int, Fraction)):
             return Polynomial.constant(other)
         return None
 
@@ -123,26 +125,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * point + c
         return acc
-
-    def substitute_scaled(self, scale) -> Polynomial:
-        """p(scale * x): coefficient c_i becomes c_i * scale^i."""
-        out = []
-        power = None
-        for i, c in enumerate(self.coeffs):
-            power = 1 if i == 0 else power * scale
-            out.append(c * power)
-        return Polynomial(out)
-
-    def map_coefficients(self, fn: Callable) -> Polynomial:
-        return Polynomial(fn(c) for c in self.coeffs)
-
-    def divide_by_x(self) -> Polynomial:
-        """Exact quotient p/x; the constant term must be zero."""
-        if self.is_zero:
-            return self
-        if self.coeffs[0] != 0:
-            raise ExactnessError("polynomial is not divisible by x")
-        return Polynomial(self.coeffs[1:])
 
     def derivative(self) -> Polynomial:
         """Ordinary formal derivative d/dx (used by the classical baseline)."""
@@ -176,15 +158,21 @@ def golden_derivative_dilatation(p: Polynomial) -> Polynomial:
 
         (f(phi x) - f(-x/phi)) / ((phi + 1/phi) x),
 
-    evaluated literally in Q(sqrt5)[x].  Serves as the independent oracle
-    for :func:`golden_derivative`: the numerator must be divisible by x and
-    every sqrt5 residue must cancel, otherwise ExactnessError is raised.
+    taken term by term in Q(sqrt5): c_i x^i contributes
+    (c_i phi^i - c_i (-1/phi)^i) / (phi + 1/phi) to x^(i-1), with the powers
+    from :func:`~goldencalc.fibonacci.golden_power_ladders`.  Serves as the
+    independent oracle for :func:`golden_derivative`: the numerator's
+    constant term must vanish and every sqrt5 residue must cancel,
+    otherwise ExactnessError is raised.
     """
-    lifted = p.map_coefficients(GoldenNumber.from_rational)
-    numerator = lifted.substitute_scaled(PHI) - lifted.substitute_scaled(-PHI.inverse())
+    phi_powers, conjugate_powers = golden_power_ladders(max(p.degree, 0))
     denominator = PHI + PHI.inverse()  # = sqrt5
-    quotient = numerator.divide_by_x()
-    return quotient.map_coefficients(lambda c: (c / denominator).to_rational())
+    numerator = [
+        phi_powers[i] * c - conjugate_powers[i] * c for i, c in enumerate(p.coeffs)
+    ]
+    if numerator and numerator[0]:
+        raise ExactnessError("the numerator is not divisible by x")
+    return Polynomial((term / denominator).to_rational() for term in numerator[1:])
 
 
 def binomial_factors(n: int, k: int) -> tuple[tuple[str, int], ...]:
@@ -208,11 +196,6 @@ def golden_binomial(n: int, row: Sequence[int] | None = None) -> tuple[int, ...]
 
 def render_plain(p: Polynomial) -> str:
     """Human-readable form, highest degree first: "x^2 - x + 1/2"."""
-    if not all(isinstance(c, (int, Fraction)) for c in p.coeffs):
-        # non-rational coefficient ring (debug output only)
-        return " + ".join(
-            f"({c}) x^{i}" for i, c in enumerate(p.coeffs) if c != 0
-        )
     return render_coefficients([format_rational(c) for c in p.coeffs])
 
 

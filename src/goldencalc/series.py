@@ -2,8 +2,9 @@
 
 A series of order N stores exactly N+1 rational coefficients c_0..c_N
 (int or Fraction).  The library builds the Golden exponential e_F(z) and
-the shifted exponentials the Bernoulli layer inverts.  The ring operations are the ones those need, the product of two
-series and the reciprocal.
+the shifted exponentials the Bernoulli layer inverts.  The ring
+operations are the ones those need, the product of two series and the
+reciprocal.
 """
 
 from __future__ import annotations

@@ -217,6 +217,16 @@ class TestPolynomials:
             assert h_polynomial_explicit(n) == h_n
         assert bf_eval(6, 1) == F(101, 39)
 
+    def test_genfunc_reads_a_reciprocal_passed_alone(self):
+        table = FibTable(9)
+        coeffs = list(bernoulli._inverse_shifted_exponential(8, table.factorial).coeffs)
+        coeffs[3] += F(1, 7)
+        perturbed = TruncatedSeries(coeffs)
+        for n in range(3, 9):
+            alone = bf_polynomial_genfunc(n, perturbed)
+            assert alone == bf_polynomial_genfunc(n, perturbed, table)
+            assert alone != bf_polynomial_genfunc(n)
+
     def test_genfunc_degree_zero(self):
         assert bf_polynomial_genfunc(0) == poly(1)
 

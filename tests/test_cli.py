@@ -14,7 +14,7 @@ import pytest
 
 from goldencalc import cli, fibonacci
 from goldencalc.bernoulli import bf_eval
-from goldencalc.rationals import format_rational
+from goldencalc.rationals import format_rational, latex_rational
 from goldencalc.verify import Counterexample, VerificationReport
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -522,6 +522,37 @@ class TestPastTheIntStrLimit:
         payload = json.loads(capsys.readouterr().out)["payload"]
         numerators = [row["value"].partition("/")[0].lstrip("-") for row in payload]
         assert max(map(len, numerators)) > 4300
+
+    FIB_210 = {
+        "numbers": ["numbers", "fib", "210", "--method", "both"],
+        "poly": ["poly", "fib", "210"],
+        "eval": ["eval", "fib", "210", "--", "-3/7"],
+    }
+
+    @pytest.fixture(scope="class")
+    def fib_210_documents(self):
+        parser = cli.build_parser()
+        return {
+            command: cli.build_document(parser.parse_args(argv))
+            for command, argv in self.FIB_210.items()
+        }
+
+    @pytest.mark.parametrize("fmt", ["csv", "latex", "plain"])
+    @pytest.mark.parametrize("command", sorted(FIB_210))
+    def test_fib_210(self, command, fmt, fib_210_documents):
+        document = fib_210_documents[command]
+        payload = document.payload
+        if command == "numbers":
+            assert all(row["match"] for row in payload)
+            values = [row[route] for row in payload for route in ("series", "recursive")]
+        elif command == "poly":
+            values = payload["coefficients"]
+        else:
+            values = [payload["value"]]
+        magnitude = max(values, key=len).lstrip("-")
+        assert len(magnitude.partition("/")[0]) > 4300
+        expected = latex_rational(magnitude) if fmt == "latex" else magnitude
+        assert expected in document.render(fmt)
 
 
 class TestStreaming:

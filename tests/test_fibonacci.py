@@ -192,9 +192,7 @@ class TestRatioRule:
 
 class TestPascalRecursions:
     def test_trivial_inner_cell(self):
-        value = fibonomial_rec_a(2, 1)
-        assert value.is_rational
-        assert value == 1
+        assert fibonomial_rec_a(2, 1).to_rational() == 1
 
     def test_matches_factorial_ratio(self):
         assert fibonomial_rec_a(4, 2) == fibonomial(4, 2)
@@ -207,8 +205,8 @@ class TestPascalRecursions:
                 expected = table.fibonomial(n, k)
                 a = fibonomial_rec_a(n, k)
                 b = fibonomial_rec_b(n, k)
-                assert a.is_rational and a == expected
-                assert b.is_rational and b == expected
+                assert a.to_rational() == expected
+                assert b.to_rational() == expected
 
     def test_shared_table_and_ladders(self):
         # Pascal rows in, factorial ratios as the expected values

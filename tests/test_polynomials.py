@@ -5,16 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from goldencalc import (
-    PHI,
     ExactnessError,
     FibTable,
-    GoldenNumber,
     Polynomial,
     fibonomial_row,
     fibonomial_rows,
     golden_binomial,
     golden_derivative,
     golden_derivative_dilatation,
+    polynomials,
 )
 from goldencalc.polynomials import (
     binomial_factors,
@@ -69,29 +68,9 @@ class TestPolynomialRing:
         expected = sum(c * point**i for i, c in enumerate(p.coeffs))
         assert p(point) == expected
 
-    def test_substitute_scaled_monomial(self):
-        cubed = Polynomial.monomial(3).map_coefficients(GoldenNumber.from_rational)
-        scaled = cubed.substitute_scaled(PHI)
-        # direct expansion oracle: coefficient should be phi*phi*phi
-        assert scaled.coefficient(3) == PHI * PHI * PHI
-        assert scaled.degree == 3
-
-    @given(rational_polynomials, rationals, rationals)
-    def test_substitute_scaled_agrees_with_evaluation(self, p, scale, point):
-        assert p.substitute_scaled(scale)(point) == p(scale * point)
-
-    def test_divide_by_x(self):
-        assert poly(0, 1, 2).divide_by_x() == poly(1, 2)
-        with pytest.raises(ExactnessError):
-            poly(1, 1).divide_by_x()
-
     def test_formal_derivative(self):
         assert poly(5, 1, 3).derivative() == poly(1, 6)
         assert poly(7).derivative() == Polynomial()
-
-    def test_equality_crosses_rings(self):
-        lifted = poly(1, 2).map_coefficients(GoldenNumber.from_rational)
-        assert lifted == poly(1, 2)
 
 
 class TestGoldenDerivative:
@@ -117,6 +96,25 @@ class TestGoldenDerivative:
     @given(rational_polynomials)
     def test_dilatation_is_the_same_operator(self, p):
         assert golden_derivative_dilatation(p) == golden_derivative(p)
+
+    def test_dilatation_guards_fire(self, monkeypatch):
+        ladders = polynomials.golden_power_ladders
+
+        def faulty(fault):
+            def patched(m):
+                phi_powers, conjugate_powers = ladders(m)
+                return fault(phi_powers), conjugate_powers
+
+            monkeypatch.setattr(polynomials, "golden_power_ladders", patched)
+
+        # phi^0 = 2: the numerator keeps a constant term
+        faulty(lambda powers: (powers[0] * 2,) + powers[1:])
+        with pytest.raises(ExactnessError, match="not divisible by x"):
+            golden_derivative_dilatation(poly(3, 1, 1))
+        # phi^2 + 1: the x^1 coefficient keeps a sqrt5 residue
+        faulty(lambda powers: powers[:2] + (powers[2] + 1,) + powers[3:])
+        with pytest.raises(ExactnessError, match="sqrt5 component did not cancel"):
+            golden_derivative_dilatation(poly(3, 1, 1))
 
     @given(rational_polynomials, rational_polynomials, rationals, rationals)
     def test_linearity(self, p, q, alpha, beta):

@@ -5,6 +5,7 @@ import pytest
 
 from goldencalc import (
     FibTable,
+    GoldenNumber,
     Polynomial,
     TruncatedSeries,
     bf_numbers_recursive,
@@ -399,6 +400,14 @@ def test_equal_values_beyond_the_str_limit_pass():
     report = _run("synthetic", 0, 1, sides.__getitem__)
     assert report.passed
     assert report.counterexample is None
+
+
+def test_unequal_golden_numbers_beyond_the_str_limit_are_rendered():
+    # as a failing pascal-recursion check at a large degree would report them
+    report = _run("synthetic", 0, 0, lambda n: (GoldenNumber(10**5000 + 1, 3), GoldenNumber(0)))
+    assert not report.passed
+    assert report.counterexample.lhs == "1" + "0" * 4999 + "1 + 3*sqrt5"
+    assert report.counterexample.rhs == "0"
 
 
 def test_bernoulli_layer_inverts_one_series_per_family(monkeypatch):
