@@ -61,8 +61,10 @@ from .verify import VerificationReport, core_property_reports, verify_identities
 
 DEFAULT_VERIFY_BOUND = 32
 # From this order on, the two independent halves of a command run side by
-# side: there each half takes about 20 ms or more, against about 7 ms for
-# importing pickle, forking and reaping (2-core x86-64, CPython 3.11).
+# side: at order 96 the series route of `numbers` takes about 17 ms, its
+# sum-rule route about 12 ms and each half of `verify 48` 60 ms or more,
+# against about 7 ms for importing pickle, forking and reaping (2-core
+# x86-64, CPython 3.11).
 FORK_MIN_ORDER = 96
 
 

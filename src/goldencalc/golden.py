@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .rationals import format_rational
+from .rationals import _excerpt, format_rational
 
 
 class ExactnessError(ArithmeticError):
@@ -181,7 +181,7 @@ class GoldenNumber:
     def to_rational(self) -> Fraction:
         """Coerce to Fraction; the sqrt5 part must have cancelled exactly."""
         if self._y != 0:
-            raise ExactnessError(f"sqrt5 component did not cancel: {self}")
+            raise ExactnessError(f"sqrt5 component did not cancel: {_excerpt(str(self))}")
         return self.a
 
 

@@ -20,7 +20,7 @@ from typing import Iterable
 
 # the "p" / "p/q" wire form, for literals too long for Fraction(str)
 _LITERAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
-_EXCERPT = 20  # characters kept from each end of a long literal in an error
+_EXCERPT = 20  # characters kept from each end of a long value quoted in an error
 
 
 def format_rational(value: Fraction | int) -> str:
@@ -41,25 +41,28 @@ def _digits(i: int) -> str:
 def sum_of_products(pairs: Iterable[tuple[Fraction | int, Fraction | int]]) -> Fraction:
     """Exact sum of x*y over ``pairs`` of ints and Fractions, reduced once.
 
-    One running numerator is kept over the least common denominator seen
-    so far, and no Fraction is built until the end; summing Fractions one
-    by one normalizes after every addition.  A term whose denominator q
-    already divides the running one costs a single divmod; only a term
-    that must grow the denominator pays for a gcd.  In the series
-    reciprocal most terms are of the first kind.
+    Each term is kept unreduced as p/q, and neighbours are merged level
+    by level as a balanced tree over lcm(q1, q2), one gcd per merge (equal
+    denominators just add their numerators; an odd last term carries up
+    a level).  Operands grow only as the merges climb the tree, instead of
+    a running sum being rescaled once per term (binary splitting).  No
+    Fraction is built until the end.
     """
-    numerator, denominator = 0, 1
-    for x, y in pairs:
-        p = x.numerator * y.numerator
-        q = x.denominator * y.denominator
-        quotient, remainder = divmod(denominator, q)
-        if not remainder:
-            numerator += p * quotient
-        else:
-            g = gcd(denominator, q)
-            scale = q // g
-            numerator = numerator * scale + p * (denominator // g)
-            denominator *= scale
+    terms = [(x.numerator * y.numerator, x.denominator * y.denominator) for x, y in pairs]
+    terms = terms or [(0, 1)]
+    while len(terms) > 1:
+        merged = []
+        for (p1, q1), (p2, q2) in zip(terms[::2], terms[1::2]):
+            if q1 == q2:
+                merged.append((p1 + p2, q1))
+            else:
+                g = gcd(q1, q2)
+                s1, s2 = q2 // g, q1 // g
+                merged.append((p1 * s1 + p2 * s2, q1 * s1))
+        if len(terms) % 2:
+            merged.append(terms[-1])
+        terms = merged
+    numerator, denominator = terms[0]
     return Fraction(numerator, denominator)
 
 

@@ -82,8 +82,8 @@ class TruncatedSeries:
         """Reciprocal by Newton doubling: y <- y (2 - a y).
 
         Same exact result as :meth:`inverse`, but slower at every order
-        measured (order 128 on CPython 3.11, 2-core Intel Xeon: 0.72 s
-        against 0.07 s for the recurrence with its one-reduction sums,
+        measured (order 128 on CPython 3.11, 2-core Intel Xeon: 0.6 s
+        against 0.05 s for the recurrence with its pairwise-merged sums,
         ``scripts/bench_series_inverse.py``): the full products it forms
         cost more than the recurrence saves.
         Kept as a second route to cross-check :meth:`inverse`.

@@ -202,38 +202,48 @@ divisor_fractions = st.builds(
 
 
 class TestExactSums:
-    @given(st.lists(st.tuples(scalars, scalars), max_size=12))
+    # 40 terms make six tree levels, with odd counts carried up on the way
+    @given(st.lists(st.tuples(scalars, scalars), max_size=40))
     def test_sum_of_products_matches_fraction_sum(self, pairs):
         total = sum_of_products(pairs)
         assert isinstance(total, Fraction)
         assert total == sum((Fraction(x) * y for x, y in pairs), Fraction(0))
 
-    @given(st.lists(st.tuples(divisor_fractions, divisor_fractions), max_size=12))
+    @given(st.lists(st.tuples(divisor_fractions, divisor_fractions), max_size=40))
     def test_sum_of_products_over_shared_denominators(self, pairs):
-        # denominators drawn from the divisors of 720 often divide the running one
+        # denominators drawn from the divisors of 720 often meet equal or dividing ones
         assert sum_of_products(pairs) == sum((x * y for x, y in pairs), Fraction(0))
 
+    # the two branches of a merge: equal denominators, or a gcd over the lcm
     @pytest.mark.parametrize(
         "pairs",
         [
-            # q = 6 divides the running 12: the divmod branch, quotient 2
+            # q = 12 and 6 merge over 12, then 12 and 12 add their numerators
             [(F(1, 12), 1), (F(1, 2), F(1, 3)), (F(5, 4), F(1, 3))],
-            # q = 5, 28, 36: none divides the running denominator, which grows
+            # q = 12, 5, 28, 36: each pair, then the two sums, merge over an lcm
             [(F(1, 12), 1), (F(2, 5), 1), (F(3, 14), F(1, 2)), (F(1, 6), F(1, 6))],
-            # both branches, with negative factors on either side
+            # negative factors on either side
             [(F(-7, 12), 1), (F(1, 2), F(-1, 3)), (-3, F(1, 4)), (F(-2, 9), F(-5, 8))],
-            # ints only: the running denominator stays 1
+            # ints only: every denominator is 1
             [(3, 4), (-5, 6), (10**40, 10**40), (0, 7)],
             # sums that cancel to zero
             [(F(1, 6), F(2, 3)), (F(-1, 9), 1)],
             [(F(5, 36), 1), (F(1, 4), F(-1, 9)), (F(-1, 9), 1)],
+            # a single term
+            [(F(-3, 8), F(4, 9))],
+            # five terms: the fifth carries up two levels before its merge
+            [(F(1, 2), 1), (F(1, 3), 1), (F(1, 5), 1), (F(1, 7), 1), (F(1, 11), F(1, 13))],
+            # equal denominators: 3/10 + 7/10 and 1/20 - 1/20 add numerators, no gcd
+            [(F(3, 10), 1), (F(7, 10), 1), (F(1, 10), F(1, 2)), (F(-1, 5), F(1, 4))],
+            # 1/6 - 2/12 cancels to 0/12 in the first merge; the next level adds 7/21
+            [(F(1, 2), F(1, 3)), (F(-2, 3), F(1, 4)), (F(2, 7), 1), (F(1, 7), F(1, 3))],
         ],
     )
     def test_sum_of_products_on_both_branches(self, pairs):
         assert sum_of_products(pairs) == sum((Fraction(x) * y for x, y in pairs), Fraction(0))
 
     def test_sum_of_products_reduces_once(self):
-        # 1/6 + 1/3 + 1/2 over the running denominator 6 reduces to 1
+        # 1/6 + 1/3 + 1/2 merges to 3/6 + 1/2, which reduces to 1
         assert sum_of_products([(F(1, 2), F(1, 3)), (1, F(1, 3)), (F(3, 4), F(2, 3))]) == 1
         assert sum_of_products([]) == 0
 

@@ -38,3 +38,4 @@ def test_make_tables_prints_the_cli_latex(capsys):
 def test_bench_series_inverse_runs():
     result = run_script("bench_series_inverse.py", "--orders", "8", "16")
     assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0].split() == ["order", "recurrence", "newton", "sum-rule"]
