@@ -47,7 +47,7 @@ from .bernoulli import (
     classical_bernoulli_numbers_recursive,
     classical_bernoulli_polynomial,
 )
-from .fibonacci import fibonomial_triangle
+from .fibonacci import fibonomial_triangle, mirror_row
 from .output import FORMATS, OutputDocument
 from .polynomials import (
     binomial_factors,
@@ -189,7 +189,9 @@ class _FibonomialRows:
     """The payload rows ``{"n", "row"}`` of the Fibonomial triangle 0..max_n.
 
     A lazy view: each pass runs :func:`fibonomial_triangle` afresh, so only
-    the previous row is ever held.
+    the previous row is ever held.  Only the left half [n, 0..n/2] of each
+    row is converted to digits; the right half reuses those strings, as the
+    triangle's right half reuses its left half's entries.
     """
 
     def __init__(self, max_n: int) -> None:
@@ -199,7 +201,7 @@ class _FibonomialRows:
 
     def __iter__(self) -> Iterator[dict]:
         for n, row in enumerate(fibonomial_triangle(self.max_n)):
-            yield {"n": n, "row": [str(v) for v in row]}
+            yield {"n": n, "row": mirror_row(n, [str(v) for v in row[: n // 2 + 1]])}
 
 
 def build_fibonomial_document(max_n: int) -> OutputDocument:

@@ -6,15 +6,17 @@ by two independent routes:
 
 - The integer Pascal rule [n, k] = F_(k+1) [n-1, k] + F_(n-k-1) [n-1, k-1]
   builds whole rows in one pass, keeping only the previous row, with no
-  division at all.  It is written once and serves two number types:
-  :func:`fibonomial_rows` yields ints, and :func:`fibonomial_triangle`
-  yields exact decimal integers (``Decimal`` with exponent 0 under a
-  context that traps every rounding), whose digit strings cost linear
-  time at any size.  Every Fibonomial the library computes comes from
-  these rows: the recursive number route, the polynomials, the
-  H-polynomials, the Golden binomial and the Pascal-style recursions
-  below.  ``verify`` and the Bernoulli layer build them once per degree;
-  a function called without a row builds its own.
+  division at all.  Two loops apply it.  :func:`fibonomial_rows` yields
+  ints and applies the rule to every entry; every Fibonomial the library
+  computes comes from these rows: the recursive number route, the
+  polynomials, the H-polynomials, the Golden binomial and the Pascal-style
+  recursions below.  ``verify`` and the Bernoulli layer build them once
+  per degree; a function called without a row builds its own.
+  :func:`fibonomial_triangle`, which ``goldencalc fibonomial`` prints,
+  applies the rule to the left half [n, 0..n/2] only and fills the right
+  half by [n, k] = [n, n-k], reusing the same objects.  Its entries are
+  exact decimal integers (``Decimal`` with exponent 0 under a context that
+  traps every rounding), whose digit strings cost linear time at any size.
 - The factorial ratio: ``FibTable.fibonomial`` divides with the exactness
   of the division asserted, so any arithmetic slip trips immediately
   instead of truncating.  It is the public reference
@@ -27,7 +29,6 @@ by two independent routes:
 
 from __future__ import annotations
 
-import operator
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -40,7 +41,7 @@ from decimal import (
 )
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence, TypeVar
 
 from .golden import PHI, PHI_CONJUGATE, SQRT5, ExactnessError, GoldenNumber
 
@@ -135,8 +136,17 @@ def fibonomial_rows(table: FibTable) -> Iterator[tuple[int, ...]]:
     """Rows 0..table.limit of [n, k] as ints by the Pascal rule.
 
     Lazy and keeping only the previous row; no entry is a factorial ratio.
+    The rule is applied to every entry, never mirrored, because it treats
+    k and n-k differently: that is what ``verify``'s
+    ``fibonomial-symmetry`` check tests.
     """
-    return _pascal_rows(table.values, 1, operator.add, operator.mul)
+    fibs = table.values
+    row = (1,)
+    yield row
+    for n in range(1, len(fibs)):
+        inner = (fibs[k + 1] * row[k] + fibs[n - k - 1] * row[k - 1] for k in range(1, n))
+        row = (1, *inner, 1)
+        yield row
 
 
 def _pascal_row(n: int) -> tuple[int, ...]:
@@ -147,7 +157,9 @@ def _pascal_row(n: int) -> tuple[int, ...]:
 def fibonomial_triangle(max_n: int) -> Iterator[tuple[Decimal, ...]]:
     """Rows 0..max_n of [n, k] by the Pascal rule, keeping only the previous row.
 
-    [n, k] = F_(k+1) [n-1, k] + F_(n-k-1) [n-1, k-1], from one FibTable.
+    [n, k] = F_(k+1) [n-1, k] + F_(n-k-1) [n-1, k-1] for k <= n/2, from one
+    FibTable; [n, k] for k > n/2 is the same object as [n, n-k].  The rule
+    for the left half reads only the previous row, which is already whole.
     Entries are exact decimal integers; ``str`` of one is its digits.
     """
     _require_nonnegative(max_n)
@@ -156,25 +168,33 @@ def fibonomial_triangle(max_n: int) -> Iterator[tuple[Decimal, ...]]:
         prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded, InvalidOperation]
     )
     fibs = [Decimal(f) for f in FibTable(max_n).values]
-    return _pascal_rows(fibs, Decimal(1), exact.add, exact.multiply)
+    return _mirrored_rows(fibs, exact)
 
 
-_T = TypeVar("_T")
-
-
-def _pascal_rows(
-    fibs: Sequence[_T], one: _T, add: Callable[[_T, _T], _T], mul: Callable[[_T, _T], _T]
-) -> Iterator[tuple[_T, ...]]:
-    # rows 0..len(fibs)-1, with F_k = fibs[k] and arithmetic by add/mul
-    row = (one,)
+def _mirrored_rows(fibs: Sequence[Decimal], exact: Context) -> Iterator[tuple[Decimal, ...]]:
+    # rows 0..len(fibs)-1, each left half by the Pascal rule under ``exact``
+    add, mul = exact.add, exact.multiply
+    row = (Decimal(1),)
     yield row
     for n in range(1, len(fibs)):
         inner = (
             add(mul(fibs[k + 1], row[k]), mul(fibs[n - k - 1], row[k - 1]))
-            for k in range(1, n)
+            for k in range(1, n // 2 + 1)
         )
-        row = (one, *inner, one)
+        row = mirror_row(n, (row[0], *inner))
         yield row
+
+
+_Row = TypeVar("_Row", tuple, list)
+
+
+def mirror_row(n: int, half: _Row) -> _Row:
+    """[n, 0..n] from its left half [n, 0..n//2], by [n, k] = [n, n-k].
+
+    The right half reuses the left half's objects, and the row has the
+    half's type.
+    """
+    return half + half[: (n + 1) // 2][::-1]
 
 
 def binet(n: int) -> Fraction:

@@ -167,6 +167,7 @@ def test_binomial_rendering(capsys):
 
 def test_fibonomial_document_builds_one_table(monkeypatch):
     # one Pascal pass over one FibTable, never a factorial ratio per entry
+    expected = [[str(v) for v in fibonacci.fibonomial_row(n)] for n in range(121)]
     built = []
     original = fibonacci.FibTable.__init__
 
@@ -179,10 +180,13 @@ def test_fibonomial_document_builds_one_table(monkeypatch):
 
     monkeypatch.setattr(fibonacci.FibTable, "__init__", counting)
     monkeypatch.setattr(fibonacci.FibTable, "fibonomial", refuse)
-    rows = list(cli.build_fibonomial_document(60).payload)
+    rows = list(cli.build_fibonomial_document(120).payload)
     assert len(built) <= 1
     assert rows[7] == {"n": 7, "row": ["1", "13", "104", "260", "260", "104", "13", "1"]}
-    assert len(rows) == 61
+    # both parities of the middle entry, and every mirrored digit string
+    assert [row["row"] for row in rows] == expected
+    for n, row in enumerate(rows):
+        assert all(row["row"][k] is row["row"][n - k] for k in range(n + 1))
 
 
 def test_verify_small_bound_passes(capsys):

@@ -1,4 +1,4 @@
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -18,6 +18,7 @@ from goldencalc import (
     fibonomial_triangle,
     golden_power_ladders,
 )
+from goldencalc import fibonacci
 from goldencalc.fibonacci import ratio_rule_break
 
 from conftest import fib_by_addition, fib_factorial_by_product, fibonomial_by_ratio
@@ -161,6 +162,23 @@ class TestFibonomialTriangle:
         with pytest.raises(ValueError):
             fibonomial_triangle(-1)
 
+    def test_rule_builds_the_left_half_and_mirrors_the_rest(self, monkeypatch):
+        multiplications = 0
+
+        class Counting(Context):
+            def multiply(self, a, b):
+                nonlocal multiplications
+                multiplications += 1
+                return super().multiply(a, b)
+
+        monkeypatch.setattr(fibonacci, "Context", Counting)
+        rows = list(fibonomial_triangle(40))
+        # two products per entry [n, 1..n/2]; the whole inner row takes 1560
+        assert multiplications == sum(2 * (n // 2) for n in range(2, 41)) == 800
+        for n, row in enumerate(rows):
+            assert type(row) is tuple and len(row) == n + 1
+            assert all(row[k] is row[n - k] for k in range(n + 1))
+
 
 class TestFibonomialRows:
     """Int rows of the Pascal rule, the ones the recursive number route reads."""
@@ -177,6 +195,14 @@ class TestFibonomialRows:
     def test_smallest_tables(self):
         assert list(fibonomial_rows(FibTable(0))) == [(1,)]
         assert list(fibonomial_rows(FibTable(2))) == [(1,), (1, 1), (1, 1, 1)]
+
+    def test_rule_covers_every_entry(self):
+        # with F_3 one too big the rule is no longer symmetric in k and n-k,
+        # so rows that were mirrored instead of computed would hide it
+        table = FibTable(12)
+        table.values = table.values[:3] + (table.values[3] + 1,) + table.values[4:]
+        rows = list(fibonomial_rows(table))
+        assert [n for n, row in enumerate(rows) if row != row[::-1]] == [3, *range(5, 13)]
 
 
 class TestRatioRule:
