@@ -11,6 +11,9 @@
 A negative point such as -3/7 would be read as an option, so it goes
 after "--", with every option before it.
 
+argparse dispatches: each subcommand's parser sets ``build``, which calls
+its ``build_*_document``, and ``_int_at_least`` checks every size.
+
 Exit codes: 0 on success, 1 when `verify` finds a broken identity,
 2 on usage errors (output that cannot be written is one: an --out path,
 or a full or closed stdout; reported in one line on stderr), 3 on an
@@ -61,10 +64,14 @@ from .verify import VerificationReport, core_property_reports, verify_identities
 
 DEFAULT_VERIFY_BOUND = 32
 # From this order on, the two independent halves of a command run side by
-# side: at order 96 the series route of `numbers` takes about 17 ms, its
-# sum-rule route about 12 ms and each half of `verify 48` 60 ms or more,
-# against about 7 ms for importing pickle, forking and reaping (2-core
-# x86-64, CPython 3.11).
+# side, which saves at most the shorter half, and only with a core to spare;
+# forking, pickling back and reaping cost about 2 ms.  Where no core was
+# spare (2-core x86-64, CPython 3.11.7: two forked busy loops took as long as
+# in sequence), forcing the fork slowed `verify 32` 0.121 -> 0.167 s,
+# `verify 16` 0.092 -> 0.103 s and `numbers fib 48 --method both` 0.010 ->
+# 0.020 s (build and render, medians of 9 alternating runs), though `verify
+# 32`'s halves take 0.057 s and 0.049 s.  96 stays: from there the shorter
+# half (13 ms in `numbers 96`, 82 ms in `verify 48`) dwarfs the fork's cost.
 FORK_MIN_ORDER = 96
 
 
@@ -256,24 +263,22 @@ def _report_row(report: VerificationReport) -> dict:
     }
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
+def _int_at_least(low: int, message: str) -> Callable[[str], int]:
+    """An argparse type: an integer of at least ``low``; below it, ``message``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    return parse
 
 
-def _verify_bound(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 2:
-        raise argparse.ArgumentTypeError("verification bound must be at least 2")
-    return value
+_size = _int_at_least(0, "must be nonnegative")
 
 
 def _rational(text: str) -> Fraction:
@@ -297,20 +302,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("numbers", help="Bernoulli(-Fibonacci) number table b_0..b_N")
     p.add_argument("variant", choices=("fib", "classical"))
-    p.add_argument("max_n", type=_nonnegative_int, metavar="N")
+    p.add_argument("max_n", type=_size, metavar="N")
     p.add_argument(
         "--method", choices=("series", "recursive", "both"), default="series"
     )
     add_io_options(p)
+    p.set_defaults(build=lambda a: build_numbers_document(a.variant, a.max_n, a.method))
 
     p = sub.add_parser("poly", help="coefficients and rendering of B_n(x)")
     p.add_argument("variant", choices=("fib", "classical"))
-    p.add_argument("n", type=_nonnegative_int)
+    p.add_argument("n", type=_size)
     add_io_options(p)
+    p.set_defaults(build=lambda a: build_polynomial_document(a.variant, a.n))
 
     p = sub.add_parser("eval", help="exact value of B_n at a rational point")
     p.add_argument("variant", choices=("fib", "classical"))
-    p.add_argument("n", type=_nonnegative_int)
+    p.add_argument("n", type=_size)
     p.add_argument(
         "x",
         type=_rational,
@@ -318,44 +325,37 @@ def build_parser() -> argparse.ArgumentParser:
         'option and "--", e.g. "eval fib 4 --format plain -- -3/7"',
     )
     add_io_options(p)
+    p.set_defaults(build=lambda a: build_evaluation_document(a.variant, a.n, a.x))
 
     p = sub.add_parser("fibonomial", help="Fibonomial triangle rows 0..N")
-    p.add_argument("max_n", type=_nonnegative_int, metavar="N")
+    p.add_argument("max_n", type=_size, metavar="N")
     add_io_options(p)
+    p.set_defaults(build=lambda a: build_fibonomial_document(a.max_n))
 
     p = sub.add_parser("binomial", help="Golden binomial expansion of (x+y)_F^n")
-    p.add_argument("n", type=_nonnegative_int)
+    p.add_argument("n", type=_size)
     add_io_options(p)
+    p.set_defaults(build=lambda a: build_binomial_document(a.n))
 
     p = sub.add_parser(
         "verify", help="run the full identity suite and exit 0/1 accordingly"
     )
     p.add_argument(
         "max_degree",
-        type=_verify_bound,
+        type=_int_at_least(3, "verification bound must be at least 3"),
         metavar="N",
         nargs="?",
         default=DEFAULT_VERIFY_BOUND,
     )
     add_io_options(p)
+    p.set_defaults(build=lambda a: build_verification_document(a.max_degree))
 
     return parser
 
 
 def build_document(args: argparse.Namespace) -> OutputDocument:
-    """The document of one parsed command line."""
-    if args.command == "numbers":
-        return build_numbers_document(args.variant, args.max_n, args.method)
-    if args.command == "poly":
-        return build_polynomial_document(args.variant, args.n)
-    if args.command == "eval":
-        return build_evaluation_document(args.variant, args.n, args.x)
-    if args.command == "fibonomial":
-        return build_fibonomial_document(args.max_n)
-    if args.command == "binomial":
-        return build_binomial_document(args.n)
-    # argparse allows only "verify" here
-    return build_verification_document(args.max_degree)
+    """The document of one parsed command line, from its subcommand's builder."""
+    return args.build(args)
 
 
 def _output(out: str | None):

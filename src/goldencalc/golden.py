@@ -53,10 +53,6 @@ class GoldenNumber:
         value._x, value._y, value._d = x, y, d
         return value
 
-    @classmethod
-    def from_rational(cls, value: Fraction | int) -> GoldenNumber:
-        return cls(value, 0)
-
     @property
     def a(self) -> Fraction:
         """The rational part."""

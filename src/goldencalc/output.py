@@ -1,20 +1,23 @@
 """Structured output documents and their chunk writers.
 
 Every CLI command produces one OutputDocument.  For each (format, kind)
-there is one writer.  A JSON writer yields text chunks; any other writer
-yields lines, which :meth:`OutputDocument.chunks` joins with its format's
-line separator ("\\r\\n" for CSV, "\\n" for LaTeX and plain text).
-Either way the chunks concatenate to the document in that format without
-its final newline.  ``cli.main`` writes the chunks as they come, so no
-format holds a whole table, and :meth:`OutputDocument.render` is their
-join.  A payload may be a lazy, re-iterable view (the Fibonomial triangle
-computes one row at a time); writers only iterate it.  Writing is a pure
-function of the document, so identical invocations are byte-identical.
+there is one writer.  A JSON writer yields text chunks and any other
+writer yields lines; :meth:`OutputDocument.chunks` joins either with its
+format's separator ("" for JSON, "\\r\\n" for CSV, "\\n" for LaTeX and
+plain text), so the chunks concatenate to the document in that format
+without its final newline.  ``cli.main`` writes the chunks as they come,
+so no format holds a whole table, and :meth:`OutputDocument.render` is
+their join.  A payload may be a lazy, re-iterable view (the Fibonomial
+triangle computes one row at a time); writers only iterate it.  Writing
+is a pure function of the document, so identical invocations are
+byte-identical.
 
 The bytes are those of the standard encoders: JSON is
 ``json.dumps(body, indent=2)`` of ``{kind, metadata, payload}``, with a
 payload list written item by item, and CSV is ``csv.writer``'s default
-dialect (QUOTE_MINIMAL, "\\r\\n"), joined by hand.
+dialect (QUOTE_MINIMAL, "\\r\\n"), each record written by ``writerow``
+(a Fibonomial row's records, ints and digit strings that need no quoting,
+are joined directly).
 All rational values cross the wire as strings "p/q" (reduced, q > 0) or
 "p" when integral; see :func:`goldencalc.rationals.format_rational`.
 Writers never parse those strings back into numbers: a LaTeX fraction
@@ -25,17 +28,19 @@ signed sum of monomials (B_n(x), (x+y)_F^n).
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 from importlib import resources
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator
 
 from .polynomials import binomial_factors, render_coefficients, render_terms
 from .rationals import latex_rational
 
-FORMATS = ("json", "csv", "latex", "plain")
-# A JSON writer yields chunks; any other writer yields lines, joined by its format's separator.
-_LINE_SEPARATORS = {"csv": "\r\n", "latex": "\n", "plain": "\n"}
+# A JSON writer yields chunks; any other writer yields lines.  Either is joined by its separator.
+_SEPARATORS = {"json": "", "csv": "\r\n", "latex": "\n", "plain": "\n"}
+FORMATS = tuple(_SEPARATORS)
 
 
 @dataclass(frozen=True)
@@ -51,8 +56,7 @@ class OutputDocument:
         writer = _WRITERS.get((fmt, self.kind))
         if writer is None:
             raise ValueError(f"unknown kind: {self.kind!r}")
-        separator = _LINE_SEPARATORS.get(fmt)
-        return writer(self) if separator is None else _joined(writer, self, separator)
+        return _joined(writer, self, _SEPARATORS[fmt])
 
     def render(self, fmt: str) -> str:
         return "".join(self.chunks(fmt))
@@ -128,20 +132,13 @@ def _json_nested(value, depth: int) -> str:
 # -- CSV ---------------------------------------------------------------
 
 
+# writerow returns what its file's write returns; this file's write returns the record
+_CSV_RECORDS = csv.writer(SimpleNamespace(write=str))
+
+
 def _csv_line(fields: Iterable) -> str:
-    """One record as ``csv.writer`` writes it (default dialect), without its "\\r\\n".
-
-    QUOTE_MINIMAL: a field is quoted, with its '"' doubled, only when it
-    holds ',', '"', '\\r' or '\\n'; a record of one empty field is '""'.
-    """
-    texts = [_csv_quoted(str(field)) for field in fields]
-    return '""' if texts == [""] else ",".join(texts)
-
-
-def _csv_quoted(text: str) -> str:
-    if any(special in text for special in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    """One record as ``csv.writer`` writes it (default dialect), without its "\\r\\n"."""
+    return _CSV_RECORDS.writerow(fields)[:-2]
 
 
 def _flag(value: bool) -> str:
@@ -171,7 +168,7 @@ def _csv_fibonomials(doc: OutputDocument):
         n = row["n"]
         # the row's records in one chunk; ints and decimal digit strings need no quoting
         entries = (f"{n},{k},{value}" for k, value in enumerate(row["row"]))
-        yield _LINE_SEPARATORS["csv"].join(entries)
+        yield _SEPARATORS["csv"].join(entries)
 
 
 def _csv_binomial(doc: OutputDocument):

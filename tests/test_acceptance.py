@@ -223,7 +223,7 @@ def test_criterion_8_cli_golden_files_and_exit_codes(monkeypatch, capsys):
             byte_identical = False
             break
 
-    exit_zero = cli.main(["verify", "2"]) == 0
+    exit_zero = cli.main(["verify", "3"]) == 0
     exit_two = cli.main(["verify", "1"]) == 2
 
     failing = VerificationReport(
@@ -231,7 +231,7 @@ def test_criterion_8_cli_golden_files_and_exit_codes(monkeypatch, capsys):
     )
     monkeypatch.setattr(cli, "verify_identities", lambda n: [failing])
     monkeypatch.setattr(cli, "core_property_reports", lambda n: [])
-    exit_one = cli.main(["verify", "2"]) == 1
+    exit_one = cli.main(["verify", "3"]) == 1
     out = capsys.readouterr().out
     counterexample_printed = '"lhs": "0"' in out and "synthetic-broken" in out
 

@@ -190,7 +190,7 @@ def test_fibonomial_document_builds_one_table(monkeypatch):
 
 
 def test_verify_small_bound_passes(capsys):
-    assert cli.main(["verify", "2", "--format", "plain"]) == 0
+    assert cli.main(["verify", "3", "--format", "plain"]) == 0
     out = capsys.readouterr().out
     assert "all identities passed" in out
 
@@ -214,7 +214,7 @@ def test_verify_output_matches_the_benchmark_digest(bound, monkeypatch, tmp_path
 
 
 def test_verify_json_document(capsys):
-    assert cli.main(["verify", "2"]) == 0
+    assert cli.main(["verify", "3"]) == 0
     document = json.loads(capsys.readouterr().out)
     assert document["kind"] == "verification"
     assert document["metadata"]["all_passed"] is True
@@ -240,7 +240,7 @@ class TestExitCodes:
         )
         monkeypatch.setattr(cli, "verify_identities", lambda n: [failing])
         monkeypatch.setattr(cli, "core_property_reports", lambda n: [])
-        assert cli.main(["verify", "2", "--format", "plain"]) == 1
+        assert cli.main(["verify", "3", "--format", "plain"]) == 1
         out = capsys.readouterr().out
         assert "FAIL synthetic-broken" in out
         assert "counterexample at 3: 1/2 != 1/3" in out
@@ -266,6 +266,30 @@ class TestExitCodes:
     def test_success_is_0(self, capsys):
         assert cli.main(["fibonomial", "0", "--format", "plain"]) == 0
         capsys.readouterr()
+
+    # each subcommand's words before its size, the size's name, its least
+    # value, the message for one below it, and the kind of its document
+    SIZED_COMMANDS = [
+        (["numbers", "fib"], "N", 0, "must be nonnegative", "numbers"),
+        (["poly", "fib"], "n", 0, "must be nonnegative", "polynomials"),
+        (["eval", "fib"], "n", 0, "must be nonnegative", "evaluation"),
+        (["fibonomial"], "N", 0, "must be nonnegative", "fibonomials"),
+        (["binomial"], "n", 0, "must be nonnegative", "binomial"),
+        (["verify"], "N", 3, "verification bound must be at least 3", "verification"),
+    ]
+
+    @pytest.mark.parametrize(
+        "head, name, least, message, kind", SIZED_COMMANDS, ids=[c[0][0] for c in SIZED_COMMANDS]
+    )
+    def test_each_subcommand_checks_its_size(self, head, name, least, message, kind, capsys):
+        point = ["1"] if head[0] == "eval" else []
+        prefix = f"goldencalc {head[0]}: error: argument {name}: "
+        for size, last_line in [("1.5", "not an integer: '1.5'"), (str(least - 1), message)]:
+            assert cli.main([*head, size, *point]) == 2
+            assert capsys.readouterr().err.splitlines()[-1] == prefix + last_line
+        # the least size reaches the subcommand's own document builder
+        assert cli.main([*head, str(least), *point]) == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == kind
 
 
 def _counted_forks(monkeypatch):

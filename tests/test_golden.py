@@ -63,7 +63,7 @@ def test_negative_powers(x):
 
 @given(rationals)
 def test_rational_embedding(q):
-    value = GoldenNumber.from_rational(q)
+    value = GoldenNumber(q)
     assert value.to_rational() == q
     assert value == q
     # mixed arithmetic falls through to the Q(sqrt5) operations
@@ -128,7 +128,7 @@ def test_zero_has_no_inverse():
 
 
 def test_hash_consistent_with_rational_equality():
-    assert hash(GoldenNumber.from_rational(Fraction(3, 7))) == hash(Fraction(3, 7))
+    assert hash(GoldenNumber(Fraction(3, 7))) == hash(Fraction(3, 7))
 
 
 def test_str_forms():

@@ -122,7 +122,7 @@ DOCUMENTS = {
     "fibonomials": lambda: build_fibonomial_document(7),
     "binomial": lambda: build_binomial_document(4),
     "evaluation": lambda: build_evaluation_document("fib", 6, F(1)),
-    "verification": lambda: build_verification_document(2),
+    "verification": lambda: build_verification_document(3),
 }
 
 
@@ -289,7 +289,7 @@ def test_latex_contains_environments():
     assert "\\frac{1}{2}" in build_polynomial_document("fib", 2).render("latex")
     assert "\\begin{tabular}" in build_fibonomial_document(3).render("latex")
     assert "\\begin{align*}" in build_evaluation_document("fib", 2, F(1)).render("latex")
-    assert "\\begin{tabular}" in build_verification_document(2).render("latex")
+    assert "\\begin{tabular}" in build_verification_document(3).render("latex")
 
 
 def test_plain_verification_lists_counterexample():

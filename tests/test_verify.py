@@ -17,7 +17,7 @@ from goldencalc import (
     verify_identities,
 )
 from goldencalc import verify
-from goldencalc.verify import VerificationReport, _run
+from goldencalc.verify import Counterexample, VerificationReport, _run
 
 EXPECTED_IDENTITIES = {
     "numbers-cross-method",
@@ -273,6 +273,12 @@ def test_every_core_identity_turns_red_under_some_fault(monkeypatch):
     assert caught == EXPECTED_CORE
 
 
+def test_a_pascal_recursion_counterexample_quotes_both_entries(monkeypatch):
+    _wrap(monkeypatch, "golden_power_ladders", _phi_cubed_plus_one)
+    reports = {r.identity: r for r in core_property_reports(8)}
+    assert reports["pascal-recursion-a"].counterexample == Counterexample(4, "k=1: 4", "k=1: 3")
+
+
 def test_no_factorial_ratio_outside_the_integrality_check(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a factorial-ratio Fibonomial was taken")
@@ -372,6 +378,14 @@ def test_bound_below_two_rejected():
         verify_identities(1)
     with pytest.raises(ValueError):
         core_property_reports(1)
+
+
+def test_no_report_covers_an_empty_range():
+    # at degree 2, classical-odd-numbers-vanish would cover 3..2
+    with pytest.raises(ValueError, match="at least 3"):
+        verify_identities(2)
+    with pytest.raises(ValueError, match="empty range 3..2"):
+        _run("synthetic", 3, 2, lambda n: (n, n), step=2)
 
 
 def test_failure_captures_first_counterexample():
