@@ -15,11 +15,18 @@ generating-function route never reads a number.  The series route never
 reads a Fibonomial.  Everything that needs a Fibonomial reads whole rows
 of the integer Pascal rule (:func:`~goldencalc.fibonacci.fibonomial_rows`):
 the recursive number route, the polynomials and the H-polynomials.  The
-recursive route, :func:`bf_polynomial` and :func:`h_polynomial_explicit`
-may be given those rows and the numbers; without them they build the same
-way, from one table's Pascal rows and the sum-rule numbers read from them.
+recursive route and :func:`bf_polynomial` may be given those rows and the
+numbers (:func:`h_polynomial_explicit` must be); without them they build
+from one table's Pascal rows and the sum-rule numbers read from them.
 So :func:`bf_polynomial` never inverts a series, and comparing it with
 :func:`bf_polynomial_genfunc` compares two routes at any n.
+
+The classical family is the same construction with C(n, .) and n! in
+place of [n, .] and F_n!, so both families share one sum-rule solver for
+the recursive numbers and one builder for the Appell sum over j of
+row[j] b_j x^(n-j); H_n is that sum with b_1 taken as 0.  The solver never
+reads a series, and the generating-function route shares nothing with
+the builder.
 
 The two number routes share no data, and the CLI makes that physical:
 from order :data:`goldencalc.cli.FORK_MIN_ORDER` on,
@@ -34,7 +41,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .fibonacci import FibTable, fibonomial_rows
 from .polynomials import Polynomial, linear_combination
@@ -81,6 +88,12 @@ def bf_numbers_recursive(
         raise ValueError("max_n must be nonnegative")
     if rows is None:
         rows = fibonomial_rows(FibTable(max_n + 1))
+    return _solve_sum_rule(max_n, rows)
+
+
+def _solve_sum_rule(max_n: int, rows: Iterable[Sequence[int]]) -> list[Fraction]:
+    # b_0 = 1; row n (n >= 2) of a Pascal-type triangle pins down b_(n-1) by
+    # sum over j < n of row[j] b_j = 0
     numbers: list[Fraction] = [Fraction(1)]
     for n, row in enumerate(islice(rows, 2, max_n + 2), 2):
         acc = sum_of_products(zip(row[: n - 1], numbers))
@@ -102,21 +115,19 @@ def bf_polynomial(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    numbers, row = _numbers_and_row(n, numbers, row)
-    return Polynomial(row[n - i] * numbers[n - i] for i in range(n + 1))
-
-
-def _numbers_and_row(
-    n: int, numbers: Sequence[Fraction] | None, row: Sequence[int] | None
-) -> tuple[Sequence[Fraction], Sequence[int]]:
-    # whichever is missing comes from the Pascal rows 0..n+1 of one table
     if numbers is None or row is None:
         rows = tuple(fibonomial_rows(FibTable(n + 1)))
         if numbers is None:
             numbers = bf_numbers_recursive(n, rows)
         if row is None:
             row = rows[n]
-    return numbers, row
+    return _appell(row, numbers)
+
+
+def _appell(row: Sequence, numbers: Sequence) -> Polynomial:
+    # sum over j <= n of row[j] b_j x^(n-j), for row [n, 0..n] of the family
+    n = len(row) - 1
+    return Polynomial(row[n - i] * numbers[n - i] for i in range(n + 1))
 
 
 def bf_polynomial_genfunc(
@@ -170,23 +181,15 @@ def h_polynomial_sum(n: int) -> Polynomial:
     return linear_combination((rows[n][k], polynomials[n - k]) for k in range(n + 1))
 
 
-def h_polynomial_explicit(
-    n: int,
-    numbers: Sequence[Fraction] | None = None,
-    row: Sequence[int] | None = None,
-) -> Polynomial:
+def h_polynomial_explicit(n: int, numbers: Sequence[Fraction], row: Sequence[int]) -> Polynomial:
     """H_n(x) in closed form: x^n + sum over j >= 2 of [n, j] b^F_j x^(n-j).
 
-    Takes the same optional ``numbers`` and ``row`` as :func:`bf_polynomial`.
+    That is :func:`bf_polynomial`'s Appell sum with b^F_1 taken as 0, over
+    the same ``numbers`` and ``row``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    numbers, row = _numbers_and_row(n, numbers, row)
-    coeffs: list = [0] * (n + 1)
-    coeffs[n] = Fraction(1)
-    for j in range(2, n + 1):
-        coeffs[n - j] = row[j] * numbers[j]
-    return Polynomial(coeffs)
+    return _appell(row, (1, 0, *numbers[2 : n + 1]))
 
 
 def classical_bernoulli_numbers(max_n: int) -> list[Fraction]:
@@ -201,15 +204,12 @@ def classical_bernoulli_numbers_recursive(max_n: int) -> list[Fraction]:
     """b_0..b_max_n from the binomial sum rule, without any series.
 
     b_0 = 1; for n >= 1 the sum of C(n+1, j) b_j over j <= n vanishes,
-    which pins down b_n once the earlier values are known.
+    which pins down b_n once the earlier values are known.  That is the
+    Fibonomial sum rule of :func:`bf_numbers_recursive` on the rows C(n, .).
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    numbers: list[Fraction] = [Fraction(1)]
-    for n in range(1, max_n + 1):
-        acc = sum_of_products((math.comb(n + 1, j), numbers[j]) for j in range(n))
-        numbers.append(-acc / (n + 1))
-    return numbers
+    return _solve_sum_rule(max_n, map(_binomial_row, range(max_n + 2)))
 
 
 def classical_bernoulli_polynomial(
@@ -220,8 +220,8 @@ def classical_bernoulli_polynomial(
         raise ValueError("n must be nonnegative")
     if numbers is None:
         numbers = classical_bernoulli_numbers(n)
-    coeffs: list = [0] * (n + 1)
-    for j in range(n + 1):
-        coeffs[n - j] = math.comb(n, j) * numbers[j]
-    return Polynomial(coeffs)
+    return _appell(_binomial_row(n), numbers)
 
+
+def _binomial_row(n: int) -> tuple[int, ...]:
+    return tuple(math.comb(n, j) for j in range(n + 1))

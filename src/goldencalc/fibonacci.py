@@ -11,7 +11,8 @@ by two independent routes:
   computes comes from these rows: the recursive number route, the
   polynomials, the H-polynomials, the Golden binomial and the Pascal-style
   recursions below.  ``verify`` and the Bernoulli layer build them once
-  per degree; a function called without a row builds its own.
+  per degree; the Pascal-style recursions are always given the previous
+  row, and the other callers build their own when given none.
   :func:`fibonomial_triangle`, which ``goldencalc fibonomial`` prints,
   applies the rule to the left half [n, 0..n/2] only and fills the right
   half by [n, k] = [n, n-k], reusing the same objects.  Its entries are
@@ -40,7 +41,6 @@ from decimal import (
     Rounded,
 )
 from fractions import Fraction
-from itertools import islice
 from typing import Iterator, Sequence, TypeVar
 
 from .golden import PHI, PHI_CONJUGATE, SQRT5, ExactnessError, GoldenNumber
@@ -149,11 +149,6 @@ def fibonomial_rows(table: FibTable) -> Iterator[tuple[int, ...]]:
         yield row
 
 
-def _pascal_row(n: int) -> tuple[int, ...]:
-    # [n, 0..n] by the Pascal rule, holding one previous row at a time
-    return next(islice(fibonomial_rows(FibTable(n)), n, None))
-
-
 def fibonomial_triangle(max_n: int) -> Iterator[tuple[Decimal, ...]]:
     """Rows 0..max_n of [n, k] by the Pascal rule, keeping only the previous row.
 
@@ -225,37 +220,26 @@ def golden_power_ladders(m: int) -> PowerLadders:
     return tuple(phi_powers), tuple(conjugate_powers)
 
 
-def fibonomial_rec_a(
-    n: int, k: int, row: Sequence[int] | None = None, ladders: PowerLadders | None = None
-) -> GoldenNumber:
+def fibonomial_rec_a(n: int, k: int, row: Sequence[int], ladders: PowerLadders) -> GoldenNumber:
     """(-1/phi)^k [n-1, k] + phi^(n-k) [n-1, k-1], exactly in Q(sqrt5).
 
-    ``row`` is [n-1, 0..n-1] (say from :func:`fibonomial_rows`; built here
-    by the Pascal rule when missing) and ``ladders`` come from
-    :func:`golden_power_ladders` with m >= n-1; both may be shared.
+    ``row`` is [n-1, 0..n-1] (say from :func:`fibonomial_rows`) and
+    ``ladders`` come from :func:`golden_power_ladders` with m >= n-1; both
+    may be shared across every k and n.
     """
-    row, (phi_powers, conjugate_powers) = _rec_inputs(n, k, row, ladders)
+    _require_inner(n, k)
+    phi_powers, conjugate_powers = ladders
     return conjugate_powers[k] * row[k] + phi_powers[n - k] * row[k - 1]
 
 
-def fibonomial_rec_b(
-    n: int, k: int, row: Sequence[int] | None = None, ladders: PowerLadders | None = None
-) -> GoldenNumber:
+def fibonomial_rec_b(n: int, k: int, row: Sequence[int], ladders: PowerLadders) -> GoldenNumber:
     """phi^k [n-1, k] + (-1/phi)^(n-k) [n-1, k-1], exactly in Q(sqrt5).
 
-    Takes the same optional ``row`` and ``ladders`` as :func:`fibonomial_rec_a`.
+    Takes the same ``row`` and ``ladders`` as :func:`fibonomial_rec_a`.
     """
-    row, (phi_powers, conjugate_powers) = _rec_inputs(n, k, row, ladders)
-    return phi_powers[k] * row[k] + conjugate_powers[n - k] * row[k - 1]
-
-
-def _rec_inputs(
-    n: int, k: int, row: Sequence[int] | None, ladders: PowerLadders | None
-) -> tuple[Sequence[int], PowerLadders]:
     _require_inner(n, k)
-    if ladders is None:
-        ladders = golden_power_ladders(n - 1)
-    return _pascal_row(n - 1) if row is None else row, ladders
+    phi_powers, conjugate_powers = ladders
+    return phi_powers[k] * row[k] + conjugate_powers[n - k] * row[k - 1]
 
 
 def _require_nonnegative(n: int) -> None:

@@ -6,19 +6,22 @@ the zero polynomial is empty.  Q(sqrt5) arithmetic stays in
 :mod:`goldencalc.golden` and the routes that need it: the dilatation
 oracle below works on single coefficients and reads back a rational.
 
+The product of two polynomials is the one convolution loop of
+:func:`~goldencalc.rationals.convolve`, which the series ring uses too.
 The Golden binomial (x + y)_F^n is kept as its coefficients, the signed
-Fibonomial row, built by the Pascal rule unless a row is passed.
+Fibonomial row, read off :func:`~goldencalc.fibonacci.fibonomial_rows`
+unless a row is passed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from typing import Iterable, Sequence
 
-from .fibonacci import FibTable, _pascal_row, golden_power_ladders
+from .fibonacci import FibTable, fibonomial_rows, golden_power_ladders
 from .golden import PHI, ExactnessError
-from .rationals import format_rational, latex_rational, sum_of_products
+from .rationals import convolve, format_rational, latex_rational, sum_of_products
 
 
 class Polynomial:
@@ -99,13 +102,9 @@ class Polynomial:
 
     def __mul__(self, other: object):
         if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial()
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return Polynomial(out)
+            # a zero factor contributes no term, so the zeros trim to Polynomial()
+            size = len(self.coeffs) + len(other.coeffs) - 1
+            return Polynomial(convolve(self.coeffs, other.coeffs, size))
         if isinstance(other, (int, Fraction)):
             return Polynomial(c * other for c in self.coeffs)
         return NotImplemented
@@ -190,7 +189,8 @@ def golden_binomial(n: int, row: Sequence[int] | None = None) -> tuple[int, ...]
     if n < 0:
         raise ValueError("n must be nonnegative")
     if row is None:
-        row = _pascal_row(n)
+        # row n of the Pascal rule, holding one previous row at a time
+        row = next(islice(fibonomial_rows(FibTable(n)), n, None))
     return tuple(-row[k] if (k * (k - 1) // 2) % 2 else row[k] for k in range(n + 1))
 
 

@@ -2,24 +2,26 @@
 
 ``fractions.Fraction`` already guarantees everything the library needs
 from its universal scalar: values are always reduced, the denominator is
-positive, and zero is stored as 0/1.  We only add the wire format and
-its LaTeX form, which is built from the string without parsing it back.
-The wire format works at any size in both directions: past Python's
-int<->str digit limit (``sys.get_int_max_str_digits()``) the digits go
-through an exact ``Decimal`` instead, and the process-wide limit is left
-alone.
+positive, and zero is stored as 0/1.  We add the two exact kernels of
+the upper layers, the sum of products and the convolution, the wire
+format and its LaTeX form, which is built from the string without
+parsing it back.  The wire format works at any size in both directions:
+past Python's int<->str digit limit (``sys.get_int_max_str_digits()``)
+the digits go through an exact ``Decimal`` instead, and the process-wide
+limit is left alone.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Sequence
 
-# the "p" / "p/q" wire form, for literals too long for Fraction(str)
-_LITERAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+# the "p" / "p/q" wire form, ASCII digits only
+_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _EXCERPT = 20  # characters kept from each end of a long value quoted in an error
 
 
@@ -66,25 +68,37 @@ def sum_of_products(pairs: Iterable[tuple[Fraction | int, Fraction | int]]) -> F
     return Fraction(numerator, denominator)
 
 
+def convolve(xs: Sequence, ys: Sequence, size: int) -> list:
+    """The first ``size`` coefficients of the product of two coefficient lists.
+
+    The one convolution loop of polynomial and series products; empty if size <= 0.
+    """
+    out = [0] * size
+    for i, a in enumerate(xs):
+        if i >= size:
+            break
+        for j, b in enumerate(ys):
+            if i + j >= size:
+                break
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a ``"p"`` or ``"p/q"`` literal; inverse of :func:`format_rational`.
 
-    ``Fraction`` parses the literal when it can; past the int<->str digit
-    limit the digits of p and q are read exactly through ``Decimal``.  A
-    rejected literal is quoted in the error by its two ends and its length.
+    p and q are ASCII digits, p with an optional sign, read exactly through
+    ``Decimal``; so the same literals parse on every Python version and at
+    any length.  A rejected literal is quoted in the error by its two ends
+    and its length.
     """
     literal = text.strip()
-    try:
-        try:
-            return Fraction(literal)
-        except ValueError:  # malformed, or more digits than the limit
-            match = _LITERAL.fullmatch(literal)
-            if match is None:
-                raise
-            numerator, denominator = match.group(1, 2)
+    match = _LITERAL.fullmatch(literal)
+    if match is not None:
+        numerator, denominator = match.group(1, 2)
+        with suppress(ZeroDivisionError):
             return Fraction(_integer(numerator), _integer(denominator or "1"))
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"not an exact rational literal: {_excerpt(literal)}") from None
+    raise ValueError(f"not an exact rational literal: {_excerpt(literal)}")
 
 
 def _integer(digits: str) -> int:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .fibonacci import FibTable
-from .rationals import sum_of_products
+from .rationals import convolve, sum_of_products
 
 
 class TruncatedSeries:
@@ -58,7 +58,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
-        return TruncatedSeries(_convolve(self.coeffs, other.coeffs, len(self.coeffs)))
+        return TruncatedSeries(convolve(self.coeffs, other.coeffs, len(self.coeffs)))
 
     def inverse(self) -> TruncatedSeries:
         """Reciprocal modulo z^(order+1) by the convolution recurrence.
@@ -95,22 +95,10 @@ class TruncatedSeries:
         y = [1 / c0]
         while len(y) < size:
             m = min(2 * len(y), size)
-            t = _convolve(self.coeffs[:m], y, m)
+            t = convolve(self.coeffs[:m], y, m)
             t = [2 - t[0]] + [-c for c in t[1:]]
-            y = _convolve(y, t, m)
+            y = convolve(y, t, m)
         return TruncatedSeries(y)
-
-
-def _convolve(xs, ys, size: int) -> list:
-    out = [0] * size
-    for i, a in enumerate(xs):
-        if i >= size:
-            break
-        for j, b in enumerate(ys):
-            if i + j >= size:
-                break
-            out[i + j] = out[i + j] + a * b
-    return out
 
 
 def golden_exponential(order: int) -> TruncatedSeries:

@@ -25,8 +25,10 @@ from goldencalc import (
     classical_bernoulli_polynomial,
     fibonomial_rec_a,
     fibonomial_rec_b,
+    fibonomial_rows,
     golden_derivative,
     golden_derivative_dilatation,
+    golden_power_ladders,
 )
 from goldencalc import cli
 from goldencalc.verify import Counterexample, VerificationReport
@@ -125,10 +127,12 @@ def test_criterion_4_identity_suite_at_32(capsys):
 
     from goldencalc import h_polynomial_explicit, h_polynomial_sum
 
+    rows = tuple(fibonomial_rows(FibTable(32)))
     appendix_ok = True
     for n in range(1, 33):
         expected = polys[n] + Polynomial.monomial(n - 1, F(fib_table.fib(n)))
-        if h_polynomial_sum(n) != expected or h_polynomial_explicit(n) != expected:
+        explicit = h_polynomial_explicit(n, numbers, rows[n])
+        if h_polynomial_sum(n) != expected or explicit != expected:
             appendix_ok = False
             break
 
@@ -179,9 +183,11 @@ def test_criterion_6_fibonomial_and_binet_properties():
         for n in range(65)
         for k in range(n + 1)
     )
+    rows = list(fibonomial_rows(FibTable(31)))
+    ladders = golden_power_ladders(31)
     pascal = all(
-        fibonomial_rec_a(n, k) == table.fibonomial(n, k)
-        and fibonomial_rec_b(n, k) == table.fibonomial(n, k)
+        fibonomial_rec_a(n, k, rows[n - 1], ladders) == table.fibonomial(n, k)
+        and fibonomial_rec_b(n, k, rows[n - 1], ladders) == table.fibonomial(n, k)
         for n in range(2, 33)
         for k in range(1, n)
     )

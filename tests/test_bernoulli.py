@@ -214,7 +214,6 @@ class TestPolynomials:
         for n in range(1, 25):
             h_n = expected[n] + Polynomial.monomial(n - 1, F(fib(n)))
             assert h_polynomial_sum(n) == h_n
-            assert h_polynomial_explicit(n) == h_n
         assert bf_eval(6, 1) == F(101, 39)
 
     def test_genfunc_reads_a_reciprocal_passed_alone(self):
@@ -288,18 +287,24 @@ class TestVerifyExamples:
         assert bf_polynomial(0) + bf_polynomial(1) == poly(0, 1)
 
 
+def h_explicit(n):
+    """H_n's closed form from the series numbers and the Pascal row [n, 0..n]."""
+    rows = tuple(fibonomial_rows(FibTable(n)))
+    return h_polynomial_explicit(n, bf_numbers_series(n), rows[n])
+
+
 class TestHPolynomials:
     def test_degree_one_cancels_constants(self):
         assert h_polynomial_sum(1) == poly(0, 1)
-        assert h_polynomial_explicit(1) == poly(0, 1)
+        assert h_explicit(1) == poly(0, 1)
 
     def test_degree_two(self):
         assert h_polynomial_sum(2) == poly(F(1, 2), 0, 1)
-        assert h_polynomial_explicit(2) == poly(F(1, 2), 0, 1)
+        assert h_explicit(2) == poly(F(1, 2), 0, 1)
 
     def test_both_derivations_agree_to_32(self):
         for n in range(1, 33):
-            assert h_polynomial_sum(n) == h_polynomial_explicit(n)
+            assert h_polynomial_sum(n) == h_explicit(n)
 
     def test_closed_form_relation(self):
         for n in range(1, 20):
@@ -320,7 +325,7 @@ class TestHPolynomials:
         with pytest.raises(ValueError):
             h_polynomial_sum(0)
         with pytest.raises(ValueError):
-            h_polynomial_explicit(0)
+            h_polynomial_explicit(0, [F(1)], (1,))
 
 
 class TestClassicalBaseline:
@@ -336,6 +341,10 @@ class TestClassicalBaseline:
         monkeypatch.setattr(TruncatedSeries, "inverse", forbidden)
         assert classical_bernoulli_numbers_recursive(64) == expected
         assert classical_bernoulli_numbers_recursive(0) == [1]
+
+    def test_recursive_route_matches_series_at_192(self):
+        # the sum-rule solver shared with the Fibonacci family, on binomial rows
+        assert classical_bernoulli_numbers_recursive(192) == classical_bernoulli_numbers(192)
 
     def test_odd_numbers_vanish(self):
         numbers = classical_bernoulli_numbers(33)

@@ -125,6 +125,13 @@ def test_numbers_classical(capsys):
     assert capsys.readouterr().out.splitlines()[-1].endswith("1/42")
 
 
+def test_numbers_classical_192_both_routes_match(capsys):
+    assert cli.main(["numbers", "classical", "192", "--method", "both"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert [row["n"] for row in payload] == list(range(193))
+    assert all(row["match"] is True for row in payload)
+
+
 def test_numbers_classical_both_compares_two_routes(monkeypatch, capsys):
     # A broken series route must show up as a mismatch, not be compared with itself.
     monkeypatch.setattr(cli, "classical_bernoulli_numbers", lambda n: [0] * (n + 1))

@@ -216,21 +216,28 @@ class TestRatioRule:
                 assert ratio_rule_break(n, skewed, fibs) == k
 
 
+def pascal_inputs(n):
+    """[n-1, 0..n-1] by the Pascal rule, and the power ladders to n-1."""
+    rows = list(fibonomial_rows(FibTable(n - 1)))
+    return rows[n - 1], golden_power_ladders(n - 1)
+
+
 class TestPascalRecursions:
     def test_trivial_inner_cell(self):
-        assert fibonomial_rec_a(2, 1).to_rational() == 1
+        assert fibonomial_rec_a(2, 1, *pascal_inputs(2)).to_rational() == 1
 
     def test_matches_factorial_ratio(self):
-        assert fibonomial_rec_a(4, 2) == fibonomial(4, 2)
-        assert fibonomial_rec_b(7, 3) == fibonomial(7, 3)
+        assert fibonomial_rec_a(4, 2, *pascal_inputs(4)) == fibonomial(4, 2)
+        assert fibonomial_rec_b(7, 3, *pascal_inputs(7)) == fibonomial(7, 3)
 
     def test_both_recursions_up_to_32(self):
         table = FibTable(32)
         for n in range(2, 33):
+            inputs = pascal_inputs(n)
             for k in range(1, n):
                 expected = table.fibonomial(n, k)
-                a = fibonomial_rec_a(n, k)
-                b = fibonomial_rec_b(n, k)
+                a = fibonomial_rec_a(n, k, *inputs)
+                b = fibonomial_rec_b(n, k, *inputs)
                 assert a.to_rational() == expected
                 assert b.to_rational() == expected
 
@@ -254,10 +261,11 @@ class TestPascalRecursions:
 
     @pytest.mark.parametrize("bad", [(1, 1), (3, 0), (3, 3), (5, 7)])
     def test_precondition(self, bad):
+        inputs = pascal_inputs(bad[0])
         with pytest.raises(ValueError):
-            fibonomial_rec_a(*bad)
+            fibonomial_rec_a(*bad, *inputs)
         with pytest.raises(ValueError):
-            fibonomial_rec_b(*bad)
+            fibonomial_rec_b(*bad, *inputs)
 
 
 def test_inexact_division_trips_exactness_error():

@@ -54,6 +54,8 @@ class TestRationalWireFormat:
         assert parse_rational("101/39") == F(101, 39)
         assert parse_rational("-5/8") == F(-5, 8)
         assert parse_rational(" 7 ") == F(7)
+        assert parse_rational("-0/5") == 0
+        assert parse_rational("+3/6") == F(1, 2)
 
     def test_parse_past_the_int_str_limit(self):
         limit = sys.get_int_max_str_digits()
@@ -81,6 +83,11 @@ class TestRationalWireFormat:
             parse_rational("one half")
         with pytest.raises(ValueError):
             parse_rational("1/0")
+        # underscores, decimals, exponents and non-ASCII digits are not "p" or "p/q",
+        # on any Python version
+        for text in ["1_0", "1_0/3", "1.5", "1e3", "\u0661\u0662", "3/-4"]:
+            with pytest.raises(ValueError, match="not an exact rational literal"):
+                parse_rational(text)
 
     @given(st.fractions())
     def test_round_trip(self, q):

@@ -51,6 +51,13 @@ class TestPolynomialRing:
 
     def test_zero_annihilates(self):
         assert poly(3, -2, 5) * Polynomial() == Polynomial()
+        # a zero factor on either side, or both, gives the zero polynomial
+        for left, right in [
+            (Polynomial(), poly(3, -2, 5)),
+            (poly(3, -2, 5), Polynomial()),
+            (Polynomial(), Polynomial()),
+        ]:
+            assert (left * right).coeffs == ()
 
     def test_scalar_ops(self):
         assert 2 * poly(1, 1) == poly(2, 2)
