@@ -39,9 +39,9 @@ routes still run in one process.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterable, Sequence
 
 from .fibonacci import FibTable, fibonomial_rows
 from .polynomials import Polynomial, linear_combination

@@ -37,9 +37,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Callable, Iterator
 from contextlib import nullcontext, suppress
 from fractions import Fraction
-from typing import Callable, Iterator
 
 from .bernoulli import (
     bf_eval,

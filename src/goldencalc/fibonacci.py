@@ -30,6 +30,7 @@ by two independent routes:
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -41,7 +42,6 @@ from decimal import (
     Rounded,
 )
 from fractions import Fraction
-from typing import Iterator, Sequence, TypeVar
 
 from .golden import PHI, PHI_CONJUGATE, SQRT5, ExactnessError, GoldenNumber
 
@@ -180,10 +180,7 @@ def _mirrored_rows(fibs: Sequence[Decimal], exact: Context) -> Iterator[tuple[De
         yield row
 
 
-_Row = TypeVar("_Row", tuple, list)
-
-
-def mirror_row(n: int, half: _Row) -> _Row:
+def mirror_row(n: int, half: tuple | list) -> tuple | list:
     """[n, 0..n] from its left half [n, 0..n//2], by [n, k] = [n, n-k].
 
     The right half reuses the left half's objects, and the row has the

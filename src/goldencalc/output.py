@@ -24,16 +24,18 @@ Writers never parse those strings back into numbers: a LaTeX fraction
 is the wire string split at its "/", and plain text and LaTeX share one
 term formatter, :func:`goldencalc.polynomials.render_terms`, for every
 signed sum of monomials (B_n(x), (x+y)_F^n).
+
+An OutputDocument is a plain ``__slots__`` record of kind, metadata and
+payload.  A ``verify`` payload holds one row per
+:class:`goldencalc.verify.VerificationReport`, a named tuple.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
-from importlib import resources
+from collections.abc import Callable, Iterable, Iterator
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator
 
 from .polynomials import binomial_factors, render_coefficients, render_terms
 from .rationals import latex_rational
@@ -43,11 +45,19 @@ _SEPARATORS = {"json": "", "csv": "\r\n", "latex": "\n", "plain": "\n"}
 FORMATS = tuple(_SEPARATORS)
 
 
-@dataclass(frozen=True)
 class OutputDocument:
-    kind: str
-    metadata: dict
-    payload: object  # iterated once per writing; a lazy payload must be re-iterable
+    """A command's result: its kind, metadata dict and payload.
+
+    The payload is iterated once per writing, so a lazy payload must be
+    re-iterable.
+    """
+
+    __slots__ = ("kind", "metadata", "payload")
+
+    def __init__(self, kind: str, metadata: dict, payload: object) -> None:
+        self.kind = kind
+        self.metadata = metadata
+        self.payload = payload
 
     def chunks(self, fmt: str) -> Iterator[str]:
         """The document in ``fmt`` as text chunks, without the final newline."""
@@ -74,6 +84,8 @@ def _joined(writer: Callable, doc: OutputDocument, separator: str) -> Iterator[s
 
 def load_schema() -> dict:
     """The JSON schema every JSON document validates against."""
+    from importlib import resources  # only this reads package data; the CLI never does
+
     text = resources.files(__package__).joinpath("output_schema.json").read_text()
     return json.loads(text)
 

@@ -15,9 +15,9 @@ unless a row is passed.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import islice, zip_longest
-from typing import Iterable, Sequence
 
 from .fibonacci import FibTable, fibonomial_rows, golden_power_ladders
 from .golden import PHI, ExactnessError

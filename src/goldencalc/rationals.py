@@ -14,11 +14,11 @@ limit is left alone.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Sequence
 from contextlib import suppress
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
 
 # the "p" / "p/q" wire form, ASCII digits only
 _LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")

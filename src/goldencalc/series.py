@@ -9,8 +9,8 @@ reciprocal.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .fibonacci import FibTable
 from .rationals import convolve, sum_of_products

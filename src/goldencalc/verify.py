@@ -7,6 +7,10 @@ exact values; only the first counterexample is rendered as text (index
 plus both unequal values), so a red run is reproducible by hand and a green
 one never formats a huge number.
 
+A report and its counterexample are named tuples, ``VerificationReport``
+and ``Counterexample``: read-only records that compare, hash and print
+by value, with ``passed`` computed from the statuses.
+
 ``verify_identities`` checks the Bernoulli layer; ``core_property_reports``
 checks the Fibonacci/Golden-calculus layer underneath it.  Index bounds
 scale off one degree parameter N: polynomial-level identities run to N,
@@ -50,11 +54,10 @@ property), so they check the polynomial structure, not the numbers.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import islice
-from typing import Callable
 
 from .bernoulli import (
     _inverse_shifted_exponential,
@@ -91,20 +94,22 @@ RANDOM_POLY_MAX_DEGREE = 32
 RANDOM_POLY_COEFF_BOUND = 10**6
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    degree: int
-    lhs: str
-    rhs: str
+class Counterexample(namedtuple("Counterexample", "degree lhs rhs")):
+    """The first failing index of a report and its two sides, as text."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    identity: str
-    degree_min: int
-    degree_max: int
-    statuses: tuple[bool, ...]
-    counterexample: Counterexample | None = None
+class VerificationReport(
+    namedtuple(
+        "VerificationReport",
+        "identity degree_min degree_max statuses counterexample",
+        defaults=(None,),
+    )
+):
+    """One identity checked over degree_min..degree_max, one status per index checked."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -236,6 +241,8 @@ def verify_identities(max_degree: int) -> list[VerificationReport]:
 
 def core_property_reports(max_degree: int) -> list[VerificationReport]:
     """Fibonacci/Golden-calculus layer checks feeding the CLI verifier."""
+    import random  # only the oracle check samples, so other commands skip this import
+
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
     n_binet = 8 * max_degree
@@ -295,7 +302,8 @@ def core_property_reports(max_degree: int) -> list[VerificationReport]:
     ]
 
 
-def _random_rational_polynomial(rng: random.Random) -> Polynomial:
+def _random_rational_polynomial(rng) -> Polynomial:
+    """A random polynomial drawn from ``rng``, a ``random.Random``."""
     degree = rng.randint(0, RANDOM_POLY_MAX_DEGREE)
     bound = RANDOM_POLY_COEFF_BOUND
     coeffs = [

@@ -254,6 +254,14 @@ def test_json_of_an_empty_payload_list():
     )
 
 
+def test_a_document_holds_its_kind_metadata_and_payload_and_nothing_else():
+    payload = {"terms": [], "rendered": "1"}
+    doc = OutputDocument(kind="binomial", metadata={"n": 0}, payload=payload)
+    assert (doc.kind, doc.metadata, doc.payload) == ("binomial", {"n": 0}, payload)
+    with pytest.raises(AttributeError):
+        doc.kinds = "numbers"  # a misspelt field is an error, not a new attribute
+
+
 def _csv_writer_line(fields) -> str:
     buffer = io.StringIO()
     csv.writer(buffer).writerow(fields)

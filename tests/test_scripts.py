@@ -39,3 +39,19 @@ def test_bench_series_inverse_runs():
     result = run_script("bench_series_inverse.py", "--orders", "8", "16")
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[0].split() == ["order", "recurrence", "newton", "sum-rule"]
+
+
+def test_bench_startup_runs():
+    result = run_script("bench_startup.py", "--runs", "1")
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0].split()[:5] == ["command", "-S", "median", "q1", "q3"]
+    assert [" ".join(line.split()[:-3]) for line in lines[1:7]] == [
+        "pass no",
+        "pass yes",
+        "stdlib floor no",
+        "stdlib floor yes",
+        "goldencalc.cli no",
+        "goldencalc.cli yes",
+    ]
+    assert "goldencalc.cli" in lines[-1].split()

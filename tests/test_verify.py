@@ -1,3 +1,4 @@
+import pickle
 import time
 from fractions import Fraction
 
@@ -466,4 +467,45 @@ def test_run_checks_each_index_of_its_range_once_in_order(hi, step, indices):
 def test_report_value_semantics():
     report = VerificationReport("x", 0, 1, (True, True))
     assert report.passed
-    assert report == VerificationReport("x", 0, 1, (True, True))
+    assert report.counterexample is None
+    assert report == VerificationReport("x", 0, 1, (True, True), None)
+    assert hash(report) == hash(VerificationReport("x", 0, 1, (True, True)))
+    assert report != VerificationReport("x", 0, 1, (True, False))
+    assert report != VerificationReport("y", 0, 1, (True, True))
+    failing = VerificationReport("x", 0, 1, (True, False), Counterexample(1, "0", "1"))
+    assert failing == VerificationReport("x", 0, 1, (True, False), Counterexample(1, "0", "1"))
+    assert failing != VerificationReport("x", 0, 1, (True, False), Counterexample(1, "0", "2"))
+    # the CLI's forked worker sends its reports back pickled
+    assert pickle.loads(pickle.dumps(failing)) == failing
+
+
+@pytest.mark.parametrize(
+    "statuses, passed",
+    [((True,), True), ((True, True), True), ((True, False), False), ((False, True), False)],
+)
+def test_a_report_passes_when_every_status_does(statuses, passed):
+    assert VerificationReport("x", 0, 1, statuses).passed is passed
+
+
+def test_report_repr_names_the_type_and_each_field():
+    report = VerificationReport("x", 0, 1, (False,), Counterexample(0, "1", "2"))
+    assert repr(report) == (
+        "VerificationReport(identity='x', degree_min=0, degree_max=1, statuses=(False,), "
+        "counterexample=Counterexample(degree=0, lhs='1', rhs='2'))"
+    )
+
+
+@pytest.mark.parametrize(
+    "record, attribute",
+    [
+        (VerificationReport("x", 0, 1, (True,)), "statuses"),
+        (VerificationReport("x", 0, 1, (True,)), "counterexample"),
+        (VerificationReport("x", 0, 1, (True,)), "passed"),
+        (VerificationReport("x", 0, 1, (True,)), "note"),
+        (Counterexample(0, "1", "2"), "lhs"),
+        (Counterexample(0, "1", "2"), "note"),
+    ],
+)
+def test_report_attributes_cannot_be_assigned(record, attribute):
+    with pytest.raises(AttributeError):
+        setattr(record, attribute, None)
