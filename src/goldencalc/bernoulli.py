@@ -22,11 +22,11 @@ So :func:`bf_polynomial` never inverts a series, and comparing it with
 :func:`bf_polynomial_genfunc` compares two routes at any n.
 
 The classical family is the same construction with C(n, .) and n! in
-place of [n, .] and F_n!, so both families share one sum-rule solver for
-the recursive numbers and one builder for the Appell sum over j of
-row[j] b_j x^(n-j); H_n is that sum with b_1 taken as 0.  The solver never
-reads a series, and the generating-function route shares nothing with
-the builder.
+place of [n, .] and F_n!, from one table at its Lucas pair :data:`CLASSICAL`.
+Each ``bf_*`` function and its ``classical_*`` twin wrap one private route:
+the series numbers (no row read), the sum-rule numbers (no series read),
+or the Appell sum over j of row[j] b_j x^(n-j); H_n is that sum with b_1
+taken as 0.  The generating-function route shares nothing with it.
 
 The two number routes share no data, and the CLI makes that physical:
 from order :data:`goldencalc.cli.FORK_MIN_ORDER` on,
@@ -38,7 +38,6 @@ routes still run in one process.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import islice
@@ -47,6 +46,9 @@ from .fibonacci import FibTable, fibonomial_rows
 from .polynomials import Polynomial, linear_combination
 from .rationals import sum_of_products
 from .series import TruncatedSeries
+
+FIBONACCI = (1, -1)  # U_n = F_n, rows [n, k]
+CLASSICAL = (2, 1)  # U_n = n, U_n! = n!, rows C(n, k)
 
 
 def _inverse_shifted_exponential(order: int, factorial: Callable[[int], int]) -> TruncatedSeries:
@@ -66,9 +68,14 @@ def _numbers_from_reciprocal(
 
 def bf_numbers_series(max_n: int) -> list[Fraction]:
     """b^F_0..b^F_max_n read off the inverse of (e_F(z) - 1)/z."""
+    return _series_numbers(max_n, FIBONACCI)
+
+
+def _series_numbers(max_n: int, pair: tuple) -> list[Fraction]:
+    # reads U_0!..U_(max_n+1)! of the family's table, and no row
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    table = FibTable(max_n + 1)
+    table = FibTable(max_n + 1, *pair)
     reciprocal = _inverse_shifted_exponential(max_n, table.factorial)
     return _numbers_from_reciprocal(reciprocal, table.factorial)
 
@@ -84,16 +91,16 @@ def bf_numbers_recursive(
     entry is a factorial ratio and no series is touched.  Rows 0..max_n+1
     of :func:`~goldencalc.fibonacci.fibonomial_rows` may be passed in.
     """
+    return _sum_rule_numbers(max_n, FIBONACCI, rows)
+
+
+def _sum_rule_numbers(max_n: int, pair: tuple, rows: Iterable | None = None) -> list[Fraction]:
+    # b_0 = 1; row n (n >= 2) of the family's rows pins down b_(n-1) by
+    # sum over j < n of row[j] b_j = 0
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     if rows is None:
-        rows = fibonomial_rows(FibTable(max_n + 1))
-    return _solve_sum_rule(max_n, rows)
-
-
-def _solve_sum_rule(max_n: int, rows: Iterable[Sequence[int]]) -> list[Fraction]:
-    # b_0 = 1; row n (n >= 2) of a Pascal-type triangle pins down b_(n-1) by
-    # sum over j < n of row[j] b_j = 0
+        rows = fibonomial_rows(FibTable(max_n + 1, *pair))
     numbers: list[Fraction] = [Fraction(1)]
     for n, row in enumerate(islice(rows, 2, max_n + 2), 2):
         acc = sum_of_products(zip(row[: n - 1], numbers))
@@ -113,20 +120,19 @@ def bf_polynomial(
     comes from one table's Pascal rows: the row itself, and the numbers by
     :func:`bf_numbers_recursive`.
     """
+    return _appell(n, FIBONACCI, numbers, row)
+
+
+def _appell(n: int, pair: tuple, numbers: Sequence | None, row: Sequence | None) -> Polynomial:
+    # sum over j <= n of row[j] b_j x^(n-j); what is missing comes from the family's rows
     if n < 0:
         raise ValueError("n must be nonnegative")
     if numbers is None or row is None:
-        rows = tuple(fibonomial_rows(FibTable(n + 1)))
+        rows = tuple(fibonomial_rows(FibTable(n + 1, *pair)))
         if numbers is None:
-            numbers = bf_numbers_recursive(n, rows)
+            numbers = _sum_rule_numbers(n, pair, rows)
         if row is None:
             row = rows[n]
-    return _appell(row, numbers)
-
-
-def _appell(row: Sequence, numbers: Sequence) -> Polynomial:
-    # sum over j <= n of row[j] b_j x^(n-j), for row [n, 0..n] of the family
-    n = len(row) - 1
     return Polynomial(row[n - i] * numbers[n - i] for i in range(n + 1))
 
 
@@ -189,15 +195,12 @@ def h_polynomial_explicit(n: int, numbers: Sequence[Fraction], row: Sequence[int
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _appell(row, (1, 0, *numbers[2 : n + 1]))
+    return _appell(n, FIBONACCI, (1, 0, *numbers[2 : n + 1]), row)
 
 
 def classical_bernoulli_numbers(max_n: int) -> list[Fraction]:
     """b_0..b_max_n of the ordinary Bernoulli family (b_1 = -1/2)."""
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
-    reciprocal = _inverse_shifted_exponential(max_n, math.factorial)
-    return _numbers_from_reciprocal(reciprocal, math.factorial)
+    return _series_numbers(max_n, CLASSICAL)
 
 
 def classical_bernoulli_numbers_recursive(max_n: int) -> list[Fraction]:
@@ -207,21 +210,11 @@ def classical_bernoulli_numbers_recursive(max_n: int) -> list[Fraction]:
     which pins down b_n once the earlier values are known.  That is the
     Fibonomial sum rule of :func:`bf_numbers_recursive` on the rows C(n, .).
     """
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
-    return _solve_sum_rule(max_n, map(_binomial_row, range(max_n + 2)))
+    return _sum_rule_numbers(max_n, CLASSICAL)
 
 
 def classical_bernoulli_polynomial(
-    n: int, numbers: Sequence[Fraction] | None = None
+    n: int, numbers: Sequence[Fraction] | None = None, row: Sequence[int] | None = None
 ) -> Polynomial:
-    """B_n(x) = sum over j of C(n, j) b_j x^(n-j)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if numbers is None:
-        numbers = classical_bernoulli_numbers(n)
-    return _appell(_binomial_row(n), numbers)
-
-
-def _binomial_row(n: int) -> tuple[int, ...]:
-    return tuple(math.comb(n, j) for j in range(n + 1))
+    """B_n(x) = sum over j of C(n, j) b_j x^(n-j), as :func:`bf_polynomial` on the rows C(n, .)."""
+    return _appell(n, CLASSICAL, numbers, row)

@@ -268,7 +268,9 @@ def _int_at_least(low: int, message: str) -> Callable[[str], int]:
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            if "/" in text:  # a size is parse_rational's "p" form, the numerator alone
+                raise ValueError(text)
+            value = parse_rational(text).numerator
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
         if value < low:

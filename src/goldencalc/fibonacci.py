@@ -26,6 +26,9 @@ by two independent routes:
   through the ratio rule [n, k+1] F_(k+1) = [n, k] F_(n-k)
   (:func:`ratio_rule_break`), which relates neighbours within one row
   and forms no factorial, so a skewed Pascal entry still breaks it.
+
+:class:`FibTable` and :func:`fibonomial_rows` serve the classical Bernoulli
+family too: at the Lucas pair (2, 1) they give n, n! and C(n, k).
 """
 
 from __future__ import annotations
@@ -47,25 +50,27 @@ from .golden import PHI, PHI_CONJUGATE, SQRT5, ExactnessError, GoldenNumber
 
 
 class FibTable:
-    """F_0..F_limit and F_0!..F_limit!, built once and never mutated.
+    """U_0..U_limit and U_0!..U_limit! of the Lucas sequence at ``pair`` = (p, q).
 
-    Confine a table to one computation or share it read-only; either way
-    there is no global state.
+    U_(n+1) = p U_n - q U_(n-1) from U_0 = 0, U_1 = 1: F_n at the default
+    (1, -1), n at (2, 1) (Sagan and Savage, Integers 10, 2010).  Built once
+    and never mutated; confine a table to one computation or share it read-only.
     """
 
-    __slots__ = ("values", "factorials")
+    __slots__ = ("values", "factorials", "pair")
 
-    def __init__(self, limit: int) -> None:
+    def __init__(self, limit: int, p: int = 1, q: int = -1) -> None:
         if limit < 0:
             raise ValueError("limit must be nonnegative")
         values = [0, 1]
         while len(values) <= limit:
-            values.append(values[-1] + values[-2])
+            values.append(p * values[-1] - q * values[-2])
         factorials = [1]
         for k in range(1, limit + 1):
             factorials.append(factorials[-1] * values[k])
         self.values = tuple(values[: limit + 1])
         self.factorials = tuple(factorials)
+        self.pair = (p, q)
 
     @property
     def limit(self) -> int:
@@ -133,18 +138,19 @@ def ratio_rule_break(n: int, row: Sequence[int], fibs: Sequence[int]) -> int | N
 
 
 def fibonomial_rows(table: FibTable) -> Iterator[tuple[int, ...]]:
-    """Rows 0..table.limit of [n, k] as ints by the Pascal rule.
+    """Rows 0..table.limit of [n, k] = U_(k+1) [n-1, k] - q U_(n-k-1) [n-1, k-1].
 
-    Lazy and keeping only the previous row; no entry is a factorial ratio.
-    The rule is applied to every entry, never mirrored, because it treats
-    k and n-k differently: that is what ``verify``'s
-    ``fibonomial-symmetry`` check tests.
+    Fibonomials at the default pair, C(n, k) at (2, 1).  Lazy and keeping
+    only the previous row; no entry is a factorial ratio.  The rule is
+    applied to every entry, never mirrored, because it treats k and n-k
+    differently: that is what ``verify``'s ``fibonomial-symmetry`` check tests.
     """
-    fibs = table.values
+    values = table.values
+    lower = [-table.pair[1] * u for u in values]  # -q U_m, so each entry costs two products
     row = (1,)
     yield row
-    for n in range(1, len(fibs)):
-        inner = (fibs[k + 1] * row[k] + fibs[n - k - 1] * row[k - 1] for k in range(1, n))
+    for n in range(1, len(values)):
+        inner = (values[k + 1] * row[k] + lower[n - k - 1] * row[k - 1] for k in range(1, n))
         row = (1, *inner, 1)
         yield row
 

@@ -53,10 +53,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def constant_term(self):
-        return self.coeffs[0] if self.coeffs else 0
-
     def coefficient(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 

@@ -20,17 +20,18 @@ default N = 32 exercises degrees 32/64/256 respectively.
 Shared work is built once per degree.  ``verify_identities`` builds one
 Fibonacci table, the Pascal-rule Fibonomial rows 0..2N+1, one reciprocal
 of (e_F(z) - 1)/z and both number routes over 0..2N, and B^F_0..B^F_N
-with the classical numbers and polynomials over 0..N, since no identity
-reads a polynomial above N.  The sum over l < n of [n, l] B^F_l and the
-closed form of H_n are each formed once per n and shared, so
-``h-polynomial-two-derivations`` holds whenever ``fibonomial-sum-recursion``
-and ``h-polynomial-closed-form`` do.  The core layer shares one Fibonacci
-table over 0..8N, its own Pascal rows 0..2N, and the power ladders
-phi^0..phi^N and (-1/phi)^0..(-1/phi)^N across every Pascal-recursion
-check.  Every Fibonomial either layer reads comes from its rows.  The
-second Fibonomial route is the ratio rule [n, k+1] F_(k+1) = [n, k] F_(n-k)
-of ``fibonomial-integrality``, which proves every row entry equal to the
-factorial ratio; the ratio itself is formed only for a counterexample.
+with the classical rows C(n, .) (a table at ``CLASSICAL``), numbers and
+polynomials over 0..N, since no identity reads a polynomial above N.  The
+sum over l < n of [n, l] B^F_l and the closed form of H_n are each formed
+once per n and shared, so ``h-polynomial-two-derivations`` holds whenever
+``fibonomial-sum-recursion`` and ``h-polynomial-closed-form`` do.  The
+core layer shares one Fibonacci table over 0..8N, its own Pascal rows
+0..2N, and the power ladders phi^0..phi^N and (-1/phi)^0..(-1/phi)^N
+across every Pascal-recursion check.  Every Fibonomial either layer reads
+comes from its rows.  The second Fibonomial route is the ratio rule
+[n, k+1] F_(k+1) = [n, k] F_(n-k) of ``fibonomial-integrality``, which
+proves every row entry equal to the factorial ratio; the ratio itself is
+formed only for a counterexample.
 
 The two layers share no table, row or ladder.  So from order
 2N = :data:`goldencalc.cli.FORK_MIN_ORDER` on, the CLI runs
@@ -53,13 +54,13 @@ property), so they check the polynomial structure, not the numbers.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
 from itertools import islice
 
 from .bernoulli import (
+    CLASSICAL,
     _inverse_shifted_exponential,
     _numbers_from_reciprocal,
     bf_numbers_recursive,
@@ -153,9 +154,10 @@ def verify_identities(max_degree: int) -> list[VerificationReport]:
     series_numbers = _numbers_from_reciprocal(reciprocal, fib_table.factorial)
     recursive_numbers = bf_numbers_recursive(n_num, rows)
     polys = [bf_polynomial(n, recursive_numbers, rows[n]) for n in range(n_poly + 1)]
+    binomials = tuple(fibonomial_rows(FibTable(n_poly, *CLASSICAL)))
     classical_nums = classical_bernoulli_numbers(n_poly)
     classical_polys = [
-        classical_bernoulli_polynomial(n, classical_nums) for n in range(n_poly + 1)
+        classical_bernoulli_polynomial(n, classical_nums, row) for n, row in enumerate(binomials)
     ]
 
     def fib_monomial(n):
@@ -222,7 +224,7 @@ def verify_identities(max_degree: int) -> list[VerificationReport]:
             "classical-number-sum-vanishes",
             2,
             n_poly,
-            lambda n: (sum_of_products((math.comb(n, j), classical_nums[j]) for j in range(n)), 0),
+            lambda n: (sum_of_products(zip(binomials[n][:n], classical_nums)), 0),
         ),
         _run(
             "classical-value-at-one",

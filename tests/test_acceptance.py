@@ -93,7 +93,7 @@ def test_criterion_3_published_polynomials():
         ("B_3..B_5 in reduced rational form", [bf_polynomial(n) for n in (3, 4, 5)] == reduced),
         (
             "constant terms of B_3..B_5 equal b_3..b_5",
-            all(bf_polynomial(n).constant_term == numbers[n] for n in (3, 4, 5)),
+            all(bf_polynomial(n).coefficient(0) == numbers[n] for n in (3, 4, 5)),
         ),
     ]
     _report(3, "published polynomial forms", checks)

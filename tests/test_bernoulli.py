@@ -163,7 +163,7 @@ class TestPolynomials:
     def test_constant_terms_equal_numbers(self):
         numbers = bf_numbers_series(24)
         for n in range(25):
-            assert bf_polynomial(n, numbers).constant_term == numbers[n]
+            assert bf_polynomial(n, numbers).coefficient(0) == numbers[n]
 
     def test_rows_replace_the_factorial_ratio(self, monkeypatch):
         numbers = bf_numbers_series(20)

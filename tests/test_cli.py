@@ -291,11 +291,19 @@ class TestExitCodes:
     def test_each_subcommand_checks_its_size(self, head, name, least, message, kind, capsys):
         point = ["1"] if head[0] == "eval" else []
         prefix = f"goldencalc {head[0]}: error: argument {name}: "
-        for size, last_line in [("1.5", "not an integer: '1.5'"), (str(least - 1), message)]:
+        # a size is ASCII digits with an optional sign, as a rational's numerator:
+        # int() would also take "1_0" and Arabic-Indic digits
+        rejected = [
+            ("1.5", "not an integer: '1.5'"),
+            ("1_0", "not an integer: '1_0'"),
+            ("١٢", "not an integer: '١٢'"),
+            (str(least - 1), message),
+        ]
+        for size, last_line in rejected:
             assert cli.main([*head, size, *point]) == 2
             assert capsys.readouterr().err.splitlines()[-1] == prefix + last_line
-        # the least size reaches the subcommand's own document builder
-        assert cli.main([*head, str(least), *point]) == 0
+        # the least size, whitespace around it, reaches the subcommand's own document builder
+        assert cli.main([*head, f" {least} ", *point]) == 0
         assert json.loads(capsys.readouterr().out)["kind"] == kind
 
 

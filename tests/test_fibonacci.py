@@ -1,3 +1,4 @@
+import math
 from decimal import Context, Decimal
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ from goldencalc import (
     ExactnessError,
     FibTable,
     binet,
+    classical_bernoulli_numbers,
+    classical_bernoulli_numbers_recursive,
     fib,
     fib_factorial,
     fibonomial,
@@ -18,7 +21,8 @@ from goldencalc import (
     fibonomial_triangle,
     golden_power_ladders,
 )
-from goldencalc import fibonacci
+from goldencalc import bernoulli, fibonacci
+from goldencalc.bernoulli import CLASSICAL
 from goldencalc.fibonacci import ratio_rule_break
 
 from conftest import fib_by_addition, fib_factorial_by_product, fibonomial_by_ratio
@@ -47,7 +51,9 @@ class TestFib:
 
 class TestFibTable:
     def test_recurrence_invariant(self):
+        # with no pair given, the table is the Fibonacci one
         table = FibTable(64)
+        assert table.pair == (1, -1)
         assert table.values[0] == 0
         assert table.values[1] == 1
         assert table.values[2] == 1
@@ -68,6 +74,29 @@ class TestFibTable:
     def test_negative_limit_rejected(self):
         with pytest.raises(ValueError):
             FibTable(-1)
+
+
+class TestClassicalTable:
+    """The Lucas pair (2, 1): U_n = n, so the table holds n!, and its rows are C(n, k)."""
+
+    def test_values_factorials_and_rows_match_the_stdlib(self):
+        table = FibTable(200, *CLASSICAL)
+        assert table.values == tuple(range(201))
+        assert table.factorials == tuple(math.factorial(n) for n in range(201))
+        for n, row in enumerate(fibonomial_rows(table)):
+            assert row == tuple(math.comb(n, k) for k in range(n + 1))
+        assert n == 200
+
+    def test_series_route_reads_no_row(self, monkeypatch):
+        def forbidden(table):
+            raise AssertionError("the classical series route read a row")
+
+        expected = classical_bernoulli_numbers_recursive(192)
+        monkeypatch.setattr(bernoulli, "fibonomial_rows", forbidden)
+        assert classical_bernoulli_numbers(192) == expected
+        # the sum-rule route does read rows, so the patch is in force
+        with pytest.raises(AssertionError, match="read a row"):
+            classical_bernoulli_numbers_recursive(6)
 
 
 class TestFibFactorial:

@@ -1,3 +1,4 @@
+import math
 import pickle
 import time
 from fractions import Fraction
@@ -18,6 +19,7 @@ from goldencalc import (
     verify_identities,
 )
 from goldencalc import verify
+from goldencalc.bernoulli import CLASSICAL, FIBONACCI
 from goldencalc.verify import Counterexample, VerificationReport, _run
 
 EXPECTED_IDENTITIES = {
@@ -73,19 +75,20 @@ def test_ranges_scale_with_bound():
     assert core["fibonomial-symmetry"].degree_max == 16
 
 
-def _skewed_rows(monkeypatch, module, n, k):
-    """Add 1 to the Pascal row entry [n, k] that ``module`` reads."""
+def _skewed_rows(monkeypatch, module, family, n, k):
+    """Add 1 to the entry [n, k] of the rows of ``family``, a Lucas pair, that ``module`` reads."""
     rows = module.fibonomial_rows
 
     def skewed(table):
         for m, row in enumerate(rows(table)):
-            yield row[:k] + (row[k] + 1,) + row[k + 1 :] if m == n else row
+            hit = m == n and table.pair == family
+            yield row[:k] + (row[k] + 1,) + row[k + 1 :] if hit else row
 
     monkeypatch.setattr(module, "fibonomial_rows", skewed)
 
 
 def test_fibonomial_symmetry_checks_the_pascal_rows(monkeypatch):
-    _skewed_rows(monkeypatch, verify, 5, 4)
+    _skewed_rows(monkeypatch, verify, FIBONACCI, 5, 4)
     core = {r.identity: r for r in core_property_reports(4)}
     report = core["fibonomial-symmetry"]
     assert len(report.statuses) == 9
@@ -130,9 +133,9 @@ def test_constant_term_compares_genfunc_with_the_recursive_route(monkeypatch):
     assert report.counterexample.degree == 10
 
 
-# The Appell property D B_n = c_n B_(n-1) holds for any number sequence, so
-# no fault in a number route can turn the two derivative identities red.
-APPELL_IDENTITIES = {"golden-derivative-lowers-degree", "classical-derivative-lowers-degree"}
+# The Bernoulli layer's Fibonacci-family identities; the other four check
+# the classical family.
+FIBONACCI_FAMILY = {name for name in EXPECTED_IDENTITIES if not name.startswith("classical-")}
 
 # identities that set the series route against the recursive route
 ROUTE_CROSS_CHECKS = {
@@ -185,6 +188,22 @@ BERNOULLI_FAULTS = [
         lambda mp: _fault_in_a_number(mp, "classical_bernoulli_numbers", 3),
         {"classical-number-sum-vanishes", "classical-odd-numbers-vanish", "classical-value-at-one"},
     ),
+    # The Appell property D B_n = c_n B_(n-1) holds for any number sequence,
+    # so only a fault in a family's rows turns its derivative identity red.
+    (
+        "Fibonacci row [5, 4] + 1",
+        lambda mp: _skewed_rows(mp, verify, FIBONACCI, 5, 4),
+        FIBONACCI_FAMILY,
+    ),
+    (
+        "classical row [5, 4] + 1",
+        lambda mp: _skewed_rows(mp, verify, CLASSICAL, 5, 4),
+        {
+            "classical-number-sum-vanishes",
+            "classical-value-at-one",
+            "classical-derivative-lowers-degree",
+        },
+    ),
 ]
 
 
@@ -196,16 +215,11 @@ def test_every_bernoulli_identity_turns_red_under_some_fault(monkeypatch):
             red = {r.identity for r in verify_identities(16) if not r.passed}
         assert red == expected, fault
         caught |= red
-    assert EXPECTED_IDENTITIES - caught == APPELL_IDENTITIES
-
-
-# The Bernoulli layer's Fibonacci-family identities; the other four check
-# the classical family.
-FIBONACCI_FAMILY = {name for name in EXPECTED_IDENTITIES if not name.startswith("classical-")}
+    assert caught == EXPECTED_IDENTITIES
 
 
 def test_a_pascal_row_fault_turns_the_fibonacci_family_red(monkeypatch):
-    _skewed_rows(monkeypatch, verify, 5, 4)
+    _skewed_rows(monkeypatch, verify, FIBONACCI, 5, 4)
     red = {r.identity for r in verify_identities(8) if not r.passed}
     assert len(FIBONACCI_FAMILY) == 9
     assert red == FIBONACCI_FAMILY
@@ -235,7 +249,7 @@ PASCAL_RECURSIONS = {"pascal-recursion-a", "pascal-recursion-b"}
 CORE_FAULTS = [
     (
         "Pascal row [5, 4] + 1",
-        lambda mp: _skewed_rows(mp, verify, 5, 4),
+        lambda mp: _skewed_rows(mp, verify, FIBONACCI, 5, 4),
         {"fibonomial-symmetry", "fibonomial-integrality"} | PASCAL_RECURSIONS,
     ),
     (
@@ -334,9 +348,11 @@ def test_polynomials_are_built_only_to_the_polynomial_degree(monkeypatch):
 
 
 def test_builds_the_pascal_rows_once(monkeypatch):
+    # once per family: the Fibonomials to 2N+1 and the binomials to N
     calls = _recorded(monkeypatch, "fibonomial_rows")
     assert all(report.passed for report in verify_identities(16))
-    assert [table.limit for (table,), _ in calls] == [33]
+    built = [(table.pair, table.limit) for (table,), _ in calls]
+    assert built == [(FIBONACCI, 33), (CLASSICAL, 16)]
 
 
 def test_polynomials_are_built_from_the_recursive_numbers(monkeypatch):
@@ -347,15 +363,16 @@ def test_polynomials_are_built_from_the_recursive_numbers(monkeypatch):
     for n, (args, polynomial) in enumerate(calls["bf_polynomial"]):
         # built from the recursive numbers, checked against the series ones
         assert args[0] == n and args[1] is recursive
-        assert polynomial.constant_term == series[n]
+        assert polynomial.coefficient(0) == series[n]
         assert polynomial.degree == n
 
 
 def test_builds_every_route_of_one_degree(monkeypatch):
     # polynomials to the degree, numbers to twice it
     calls = _inputs_of_verify_identities(monkeypatch, 12)
-    [((table,), _)] = calls["fibonomial_rows"]
+    [((table,), _), ((classical_table,), _)] = calls["fibonomial_rows"]
     assert table.limit == 25
+    assert classical_table.limit == 12
     [((order, _), reciprocal)] = calls["_inverse_shifted_exponential"]
     assert order == reciprocal.order == 24
     [((_, rows), recursive)] = calls["bf_numbers_recursive"]
@@ -365,7 +382,9 @@ def test_builds_every_route_of_one_degree(monkeypatch):
     [(_, classical)] = calls["classical_bernoulli_numbers"]
     assert classical == classical_bernoulli_numbers(12)
     for n, (args, polynomial) in enumerate(calls["classical_bernoulli_polynomial"]):
-        assert args[0] == n
+        # the classical polynomials read the rows built once, C(n, 0..n)
+        assert args[0] == n and args[1] is classical
+        assert args[2] == tuple(math.comb(n, k) for k in range(n + 1))
         assert polynomial == classical_bernoulli_polynomial(n)
 
 
