@@ -42,7 +42,6 @@ from contextlib import nullcontext, suppress
 from fractions import Fraction
 
 from .bernoulli import (
-    bf_eval,
     bf_numbers_recursive,
     bf_numbers_series,
     bf_polynomial,
@@ -59,7 +58,7 @@ from .polynomials import (
     render_monomial,
     render_terms,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import _excerpt, format_rational, parse_rational
 from .verify import VerificationReport, core_property_reports, verify_identities
 
 DEFAULT_VERIFY_BOUND = 32
@@ -146,13 +145,20 @@ def _side_by_side(first: Callable[[], object], second: Callable[[], object], ord
     return value, second_result
 
 
+def _routes(variant: str) -> tuple[Callable, Callable, Callable]:
+    """The family's series-number route, sum-rule route and polynomial, read at each call."""
+    if variant == "classical":
+        return (
+            classical_bernoulli_numbers,
+            classical_bernoulli_numbers_recursive,
+            classical_bernoulli_polynomial,
+        )
+    return bf_numbers_series, bf_numbers_recursive, bf_polynomial
+
+
 def build_numbers_document(variant: str, max_n: int, method: str) -> OutputDocument:
     metadata = {"variant": variant, "max_n": max_n, "method": method}
-    if variant == "classical":
-        series_route = classical_bernoulli_numbers
-        recursive_route = classical_bernoulli_numbers_recursive
-    else:
-        series_route, recursive_route = bf_numbers_series, bf_numbers_recursive
+    series_route, recursive_route, _ = _routes(variant)
     if method == "both":
         series, recursive = _side_by_side(
             lambda: series_route(max_n), lambda: recursive_route(max_n), max_n
@@ -175,19 +181,16 @@ def build_numbers_document(variant: str, max_n: int, method: str) -> OutputDocum
 
 
 def build_polynomial_document(variant: str, n: int) -> OutputDocument:
-    poly = (
-        classical_bernoulli_polynomial(n) if variant == "classical" else bf_polynomial(n)
-    )
+    _, _, polynomial = _routes(variant)
+    poly = polynomial(n)
     coefficients = [format_rational(poly.coefficient(i)) for i in range(n + 1)]
     payload = {"coefficients": coefficients, "rendered": render_coefficients(coefficients)}
     return OutputDocument("polynomials", {"variant": variant, "n": n}, payload)
 
 
 def build_evaluation_document(variant: str, n: int, point: Fraction) -> OutputDocument:
-    if variant == "classical":
-        value = classical_bernoulli_polynomial(n)(point)
-    else:
-        value = bf_eval(n, point)
+    _, _, polynomial = _routes(variant)
+    value = polynomial(n)(point)
     metadata = {"variant": variant, "n": n, "x": format_rational(point)}
     return OutputDocument("evaluation", metadata, {"value": format_rational(value)})
 
@@ -272,7 +275,7 @@ def _int_at_least(low: int, message: str) -> Callable[[str], int]:
                 raise ValueError(text)
             value = parse_rational(text).numerator
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+            raise argparse.ArgumentTypeError(f"not an integer: {_excerpt(text)}") from exc
         if value < low:
             raise argparse.ArgumentTypeError(message)
         return value

@@ -6,8 +6,9 @@ the zero polynomial is empty.  Q(sqrt5) arithmetic stays in
 :mod:`goldencalc.golden` and the routes that need it: the dilatation
 oracle below works on single coefficients and reads back a rational.
 
-The product of two polynomials is the one convolution loop of
-:func:`~goldencalc.rationals.convolve`, which the series ring uses too.
+The product of two polynomials is :func:`~goldencalc.rationals.convolve`,
+which the series ring uses too.  :func:`lucas_derivative` is the Golden
+derivative on a table's values F_n, and d/dx on the values n of one at (2, 1).
 The Golden binomial (x + y)_F^n is kept as its coefficients, the signed
 Fibonomial row, read off :func:`~goldencalc.fibonacci.fibonomial_rows`
 unless a row is passed.
@@ -63,11 +64,10 @@ class Polynomial:
         return render_plain(self)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Polynomial.constant(other)
-        return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     __hash__ = None  # mutable-style algebraic value; equal to its int or Fraction constant
 
@@ -121,10 +121,6 @@ class Polynomial:
             acc = acc * point + c
         return acc
 
-    def derivative(self) -> Polynomial:
-        """Ordinary formal derivative d/dx (used by the classical baseline)."""
-        return Polynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
-
 
 def linear_combination(terms: Iterable[tuple[Fraction | int, Polynomial]]) -> Polynomial:
     """Sum of weight * polynomial over ``terms``, all rational.
@@ -140,12 +136,14 @@ def linear_combination(terms: Iterable[tuple[Fraction | int, Polynomial]]) -> Po
     )
 
 
+def lucas_derivative(p: Polynomial, values: Sequence[int]) -> Polynomial:
+    """The lowering rule c_n x^n -> c_n U_n x^(n-1), with U_0..U_deg = ``values``."""
+    return Polynomial(c * values[n] for n, c in enumerate(p.coeffs) if n)
+
+
 def golden_derivative(p: Polynomial) -> Polynomial:
     """Golden derivative by the coefficient rule: c_n x^n -> c_n F_n x^(n-1)."""
-    if p.is_zero:
-        return Polynomial()
-    table = FibTable(p.degree)
-    return Polynomial(p.coeffs[n] * table.fib(n) for n in range(1, p.degree + 1))
+    return lucas_derivative(p, FibTable(max(p.degree, 0)).values)
 
 
 def golden_derivative_dilatation(p: Polynomial) -> Polynomial:

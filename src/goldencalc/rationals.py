@@ -2,9 +2,9 @@
 
 ``fractions.Fraction`` already guarantees everything the library needs
 from its universal scalar: values are always reduced, the denominator is
-positive, and zero is stored as 0/1.  We add the two exact kernels of
-the upper layers, the sum of products and the convolution, the wire
-format and its LaTeX form, which is built from the string without
+positive, and zero is stored as 0/1.  We add the one exact-sum kernel of
+the upper layers, the sum of products, the convolution built on it, the
+wire format and its LaTeX form, which is built from the string without
 parsing it back.  The wire format works at any size in both directions:
 past Python's int<->str digit limit (``sys.get_int_max_str_digits()``)
 the digits go through an exact ``Decimal`` instead, and the process-wide
@@ -68,20 +68,18 @@ def sum_of_products(pairs: Iterable[tuple[Fraction | int, Fraction | int]]) -> F
     return Fraction(numerator, denominator)
 
 
-def convolve(xs: Sequence, ys: Sequence, size: int) -> list:
+def convolve(xs: Sequence, ys: Sequence, size: int) -> list[Fraction]:
     """The first ``size`` coefficients of the product of two coefficient lists.
 
-    The one convolution loop of polynomial and series products; empty if size <= 0.
+    Coefficient k is one :func:`sum_of_products` over i + j = k, the one
+    exact-sum kernel of polynomial and series products; empty if size <= 0.
     """
-    out = [0] * size
-    for i, a in enumerate(xs):
-        if i >= size:
-            break
-        for j, b in enumerate(ys):
-            if i + j >= size:
-                break
-            out[i + j] = out[i + j] + a * b
-    return out
+    return [
+        sum_of_products(
+            (xs[i], ys[k - i]) for i in range(max(0, k - len(ys) + 1), min(k + 1, len(xs)))
+        )
+        for k in range(size)
+    ]
 
 
 def parse_rational(text: str) -> Fraction:

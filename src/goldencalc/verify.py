@@ -50,6 +50,8 @@ checked on each route alone: ``number-sum-vanishes`` on the series
 numbers, ``fibonomial-sum-recursion`` on the polynomials.  The two
 derivative identities hold for any number sequence (the Appell
 property), so they check the polynomial structure, not the numbers.
+``_family_checks`` states the sum rule, the value at one and the lowering
+derivative once, and each family runs them under its own names.
 """
 
 from __future__ import annotations
@@ -86,6 +88,7 @@ from .polynomials import (
     golden_derivative,
     golden_derivative_dilatation,
     linear_combination,
+    lucas_derivative,
 )
 from .rationals import format_rational, sum_of_products
 
@@ -154,11 +157,18 @@ def verify_identities(max_degree: int) -> list[VerificationReport]:
     series_numbers = _numbers_from_reciprocal(reciprocal, fib_table.factorial)
     recursive_numbers = bf_numbers_recursive(n_num, rows)
     polys = [bf_polynomial(n, recursive_numbers, rows[n]) for n in range(n_poly + 1)]
-    binomials = tuple(fibonomial_rows(FibTable(n_poly, *CLASSICAL)))
+    classical_table = FibTable(n_poly, *CLASSICAL)
+    binomials = tuple(fibonomial_rows(classical_table))
     classical_nums = classical_bernoulli_numbers(n_poly)
     classical_polys = [
         classical_bernoulli_polynomial(n, classical_nums, row) for n, row in enumerate(binomials)
     ]
+    sum_rule, value_at_one, lowering = _family_checks(
+        rows, series_numbers, polys, fib_table.values
+    )
+    classical_sum_rule, classical_value_at_one, classical_lowering = _family_checks(
+        binomials, classical_nums, classical_polys, classical_table.values
+    )
 
     def fib_monomial(n):
         return Polynomial.monomial(n - 1, Fraction(fib_table.fib(n)))
@@ -176,25 +186,10 @@ def verify_identities(max_degree: int) -> list[VerificationReport]:
             n_poly,
             lambda n: (polys[n], bf_polynomial_genfunc(n, reciprocal, fib_table)),
         ),
-        _run(
-            "golden-derivative-lowers-degree",
-            1,
-            n_poly,
-            lambda n: (golden_derivative(polys[n]), polys[n - 1] * fib_table.fib(n)),
-        ),
+        _run("golden-derivative-lowers-degree", 1, n_poly, lowering),
         _run("fibonomial-sum-recursion", 1, n_poly, lambda n: (lower_sums[n], fib_monomial(n))),
-        _run(
-            "number-sum-vanishes",
-            2,
-            n_num,
-            lambda n: (sum_of_products(zip(rows[n][:n], series_numbers)), 0),
-        ),
-        _run(
-            "value-at-one-equals-number",
-            2,
-            n_poly,
-            lambda n: (polys[n](Fraction(1)), series_numbers[n]),
-        ),
+        _run("number-sum-vanishes", 2, n_num, sum_rule),
+        _run("value-at-one-equals-number", 2, n_poly, value_at_one),
         _run(
             "h-polynomial-two-derivations",
             1,
@@ -207,38 +202,30 @@ def verify_identities(max_degree: int) -> list[VerificationReport]:
             n_poly,
             lambda n: (h_explicits[n], polys[n] + fib_monomial(n)),
         ),
+        # series_numbers[n] is F_n! r_n, the x^0 coefficient the genfunc route would give
         _run(
             "constant-term-equals-number",
             0,
             n_num,
-            # F_n! r_n off the shared reciprocal, the x^0 coefficient the
-            # genfunc route would give; this is how series_numbers is read, so
-            # it re-derives the series numbers of numbers-cross-method
-            lambda n: (
-                fib_table.factorial(n) * reciprocal.coefficient(n),
-                recursive_numbers[n],
-            ),
+            lambda n: (series_numbers[n], recursive_numbers[n]),
         ),
         _run("classical-odd-numbers-vanish", 3, n_poly, lambda n: (classical_nums[n], 0), step=2),
-        _run(
-            "classical-number-sum-vanishes",
-            2,
-            n_poly,
-            lambda n: (sum_of_products(zip(binomials[n][:n], classical_nums)), 0),
-        ),
-        _run(
-            "classical-value-at-one",
-            2,
-            n_poly,
-            lambda n: (classical_polys[n](Fraction(1)), classical_nums[n]),
-        ),
-        _run(
-            "classical-derivative-lowers-degree",
-            1,
-            n_poly,
-            lambda n: (classical_polys[n].derivative(), classical_polys[n - 1] * n),
-        ),
+        _run("classical-number-sum-vanishes", 2, n_poly, classical_sum_rule),
+        _run("classical-value-at-one", 2, n_poly, classical_value_at_one),
+        _run("classical-derivative-lowers-degree", 1, n_poly, classical_lowering),
     ]
+
+
+def _family_checks(rows, numbers, polys, values) -> tuple[Callable, Callable, Callable]:
+    """One family's sum rule, value at one and lowering derivative, as checks of n.
+
+    ``rows``, ``numbers``, ``polys`` and ``values`` are its rows, b_n, B_n and U_n.
+    """
+    return (
+        lambda n: (sum_of_products(zip(rows[n][:n], numbers)), 0),
+        lambda n: (polys[n](Fraction(1)), numbers[n]),
+        lambda n: (lucas_derivative(polys[n], values), polys[n - 1] * values[n]),
+    )
 
 
 def core_property_reports(max_degree: int) -> list[VerificationReport]:
@@ -261,15 +248,14 @@ def core_property_reports(max_degree: int) -> list[VerificationReport]:
 
     def integrality(n):
         # by induction the ratio rule proves each int entry equal to the
-        # factorial ratio, so that ratio integral; it is formed only to show
-        # a failure
+        # factorial ratio, so that ratio integral; the reference ratio is
+        # taken only to show a failure
         k = ratio_rule_break(n, rows[n], table.values)
         if k is None:
             return "integral", "integral"
-        ratio = Fraction(table.factorial(n), table.factorial(n - k) * table.factorial(k))
         return (
             f"k={k}: {format_rational(rows[n][k])}",
-            f"k={k}: F_{n}!/(F_{n - k}! F_{k}!) = {format_rational(ratio)}",
+            f"k={k}: F_{n}!/(F_{n - k}! F_{k}!) = {format_rational(table.fibonomial(n, k))}",
         )
 
     def pascal(rule):

@@ -20,6 +20,7 @@ from goldencalc import (
     h_polynomial_sum,
 )
 from goldencalc import bernoulli
+from goldencalc.polynomials import lucas_derivative
 
 from conftest import fib_by_addition, fib_factorial_by_product
 
@@ -374,8 +375,9 @@ class TestClassicalBaseline:
 
     def test_derivative_lowers_degree(self):
         numbers = classical_bernoulli_numbers(32)
+        values = FibTable(32, *bernoulli.CLASSICAL).values  # U_n = n
         for n in range(1, 33):
-            lhs = classical_bernoulli_polynomial(n, numbers).derivative()
+            lhs = lucas_derivative(classical_bernoulli_polynomial(n, numbers), values)
             rhs = classical_bernoulli_polynomial(n - 1, numbers) * n
             assert lhs == rhs
 

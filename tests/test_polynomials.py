@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from goldencalc import (
@@ -15,14 +15,16 @@ from goldencalc import (
     golden_derivative_dilatation,
     polynomials,
 )
+from goldencalc.bernoulli import CLASSICAL
 from goldencalc.polynomials import (
     binomial_factors,
     linear_combination,
+    lucas_derivative,
     render_coefficients,
     render_plain,
     render_terms,
 )
-from goldencalc.rationals import format_rational, sum_of_products
+from goldencalc.rationals import convolve, format_rational, sum_of_products
 
 from conftest import fib_by_addition, rational_polynomials, rationals
 
@@ -76,8 +78,31 @@ class TestPolynomialRing:
         assert p(point) == expected
 
     def test_formal_derivative(self):
-        assert poly(5, 1, 3).derivative() == poly(1, 6)
-        assert poly(7).derivative() == Polynomial()
+        values = FibTable(2, *CLASSICAL).values  # U_n = n
+        assert lucas_derivative(poly(5, 1, 3), values) == poly(1, 6)
+        assert lucas_derivative(poly(7), values) == Polynomial()
+
+    def test_equal_to_its_int_and_fraction_constants(self):
+        assert poly(3) == 3 and 3 == poly(3)
+        assert poly(F(1, 2)) == F(1, 2) and F(1, 2) == poly(F(1, 2))
+        assert Polynomial() == 0
+        assert poly(3, 1) != 3
+
+    def test_unequal_to_a_string(self):
+        assert (poly(1) == "1") is False
+        assert poly(1) != "1"
+
+
+class TestLucasDerivative:
+    @given(rational_polynomials)
+    def test_at_the_fibonacci_values_is_the_golden_derivative(self, p):
+        values = [fib_by_addition(n) for n in range(max(p.degree, 0) + 1)]
+        assert lucas_derivative(p, values) == golden_derivative(p)
+
+    @given(rational_polynomials)
+    def test_at_the_naturals_is_the_schoolbook_derivative(self, p):
+        schoolbook = Polynomial(i * c for i, c in enumerate(p.coeffs) if i > 0)
+        assert lucas_derivative(p, range(max(p.degree, 0) + 1)) == schoolbook
 
 
 class TestGoldenDerivative:
@@ -253,6 +278,23 @@ class TestExactSums:
         # 1/6 + 1/3 + 1/2 merges to 3/6 + 1/2, which reduces to 1
         assert sum_of_products([(F(1, 2), F(1, 3)), (1, F(1, 3)), (F(3, 4), F(2, 3))]) == 1
         assert sum_of_products([]) == 0
+
+    # sizes below, at and above len(xs) + len(ys) - 1, the length of the whole product
+    @given(st.lists(scalars, max_size=8), st.lists(scalars, max_size=8), st.integers(-3, 3))
+    @example(xs=[], ys=[], excess=3)
+    @example(xs=[], ys=[3], excess=1)
+    @example(xs=[2], ys=[3], excess=-1)
+    @example(xs=[2], ys=[3], excess=-2)
+    def test_convolve_matches_the_schoolbook_double_loop(self, xs, ys, excess):
+        size = len(xs) + len(ys) - 1 + excess
+        expected = [Fraction(0)] * max(size, 0)
+        for i, a in enumerate(xs):
+            for j, b in enumerate(ys):
+                if i + j < size:
+                    expected[i + j] += a * b
+        product = convolve(xs, ys, size)
+        assert product == expected
+        assert all(isinstance(c, Fraction) for c in product)
 
     @given(st.lists(st.tuples(scalars, rational_polynomials), max_size=8))
     def test_linear_combination_matches_term_by_term_sum(self, terms):

@@ -33,6 +33,11 @@ class TestSeriesArithmetic:
         with pytest.raises(ValueError):
             TruncatedSeries([F(1)]) * TruncatedSeries([F(1), F(1)])
 
+    def test_series_of_different_orders_are_unequal(self):
+        # equal coefficients as far as both go, but not the same truncation
+        assert TruncatedSeries((1, 0)) != TruncatedSeries((1, 0, 0))
+        assert TruncatedSeries((1, 0)) == TruncatedSeries((F(1), F(0)))
+
     def test_truncated_product(self):
         a = TruncatedSeries([F(1), F(1), F(0)])
         b = TruncatedSeries([F(1), F(-1), F(0)])
