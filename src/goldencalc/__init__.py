@@ -21,9 +21,6 @@ from .bernoulli import (
 from .fibonacci import (
     FibTable,
     binet,
-    fib,
-    fib_factorial,
-    fibonomial,
     fibonomial_rec_a,
     fibonomial_rec_b,
     fibonomial_row,
@@ -47,7 +44,7 @@ from .verify import (
     verify_identities,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "Counterexample",
@@ -70,9 +67,6 @@ __all__ = [
     "classical_bernoulli_numbers_recursive",
     "classical_bernoulli_polynomial",
     "core_property_reports",
-    "fib",
-    "fib_factorial",
-    "fibonomial",
     "fibonomial_rec_a",
     "fibonomial_rec_b",
     "fibonomial_row",

@@ -14,19 +14,23 @@ per degree.  The recursive routes never touch a series, and the
 generating-function route never reads a number.  The series route never
 reads a Fibonomial.  Everything that needs a Fibonomial reads whole rows
 of the integer Pascal rule (:func:`~goldencalc.fibonacci.fibonomial_rows`):
-the recursive number route, the polynomials and the H-polynomials.  The
-recursive route and :func:`bf_polynomial` may be given those rows and the
-numbers (:func:`h_polynomial_explicit` must be); without them they build
-from one table's Pascal rows and the sum-rule numbers read from them.
-So :func:`bf_polynomial` never inverts a series, and comparing it with
+the recursive number route, the polynomials and the H-polynomials.
+
+Each route is one private function that takes every input it reads: the
+sum-rule numbers take the rows (``_sum_rule_numbers``), the Appell sum
+over j of row[j] b_j x^(n-j) takes the row and the numbers (``_appell``),
+and the generating-function route takes the reciprocal and the table it
+reads its family's U_n! from (``_genfunc``).  H_n is the Appell sum with
+b_1 taken as 0.  :mod:`goldencalc.verify` calls these routes on inputs it
+builds once per family.  The public functions take only a size and build
+the inputs from one table at the family's Lucas pair, the polynomials
+from its Pascal rows and the sum-rule numbers read from them.  So
+:func:`bf_polynomial` never inverts a series, and comparing it with
 :func:`bf_polynomial_genfunc` compares two routes at any n.
 
 The classical family is the same construction with C(n, .) and n! in
 place of [n, .] and F_n!, from one table at its Lucas pair :data:`CLASSICAL`.
-Each ``bf_*`` function and its ``classical_*`` twin wrap one private route:
-the series numbers (no row read), the sum-rule numbers (no series read),
-or the Appell sum over j of row[j] b_j x^(n-j); H_n is that sum with b_1
-taken as 0.  The generating-function route shares nothing with it.
+Each ``bf_*`` function and its ``classical_*`` twin differ only in the pair.
 
 The two number routes share no data, and the CLI makes that physical:
 from order :data:`goldencalc.cli.FORK_MIN_ORDER` on,
@@ -80,27 +84,27 @@ def _series_numbers(max_n: int, pair: tuple) -> list[Fraction]:
     return _numbers_from_reciprocal(reciprocal, table.factorial)
 
 
-def bf_numbers_recursive(
-    max_n: int, rows: Sequence[tuple[int, ...]] | None = None
-) -> list[Fraction]:
+def bf_numbers_recursive(max_n: int) -> list[Fraction]:
     """b^F_0..b^F_max_n from the Fibonomial sum rule.
 
     b^F_0 = 1; for n >= 2 the sum of [n, j] b^F_j over j < n vanishes,
     which pins down b^F_(n-1) once the earlier values are known.  Row n
     of Fibonomials comes from row n-1 by the integer Pascal rule, so no
-    entry is a factorial ratio and no series is touched.  Rows 0..max_n+1
-    of :func:`~goldencalc.fibonacci.fibonomial_rows` may be passed in.
+    entry is a factorial ratio and no series is touched.
     """
-    return _sum_rule_numbers(max_n, FIBONACCI, rows)
+    return _recursive_numbers(max_n, FIBONACCI)
 
 
-def _sum_rule_numbers(max_n: int, pair: tuple, rows: Iterable | None = None) -> list[Fraction]:
-    # b_0 = 1; row n (n >= 2) of the family's rows pins down b_(n-1) by
-    # sum over j < n of row[j] b_j = 0
+def _recursive_numbers(max_n: int, pair: tuple) -> list[Fraction]:
+    # reads rows 0..max_n+1 of the family's table, and no series
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    if rows is None:
-        rows = fibonomial_rows(FibTable(max_n + 1, *pair))
+    return _sum_rule_numbers(max_n, fibonomial_rows(FibTable(max_n + 1, *pair)))
+
+
+def _sum_rule_numbers(max_n: int, rows: Iterable) -> list[Fraction]:
+    # b_0 = 1; row n (2 <= n <= max_n + 1) of a family's rows pins down
+    # b_(n-1) by sum over j < n of row[j] b_j = 0
     numbers: list[Fraction] = [Fraction(1)]
     for n, row in enumerate(islice(rows, 2, max_n + 2), 2):
         acc = sum_of_products(zip(row[: n - 1], numbers))
@@ -108,39 +112,30 @@ def _sum_rule_numbers(max_n: int, pair: tuple, rows: Iterable | None = None) -> 
     return numbers
 
 
-def bf_polynomial(
-    n: int,
-    numbers: Sequence[Fraction] | None = None,
-    row: Sequence[int] | None = None,
-) -> Polynomial:
+def bf_polynomial(n: int) -> Polynomial:
     """B^F_n(x) = sum over j of [n, j] b^F_j x^(n-j).
 
-    ``numbers`` are b^F_0..b^F_m with m >= n and ``row`` is [n, 0..n] (say
-    from :func:`~goldencalc.fibonacci.fibonomial_rows`).  What is missing
-    comes from one table's Pascal rows: the row itself, and the numbers by
-    :func:`bf_numbers_recursive`.
+    The row [n, 0..n] and the numbers come from one table's Pascal rows,
+    the numbers by the sum rule of :func:`bf_numbers_recursive`.
     """
-    return _appell(n, FIBONACCI, numbers, row)
+    return _sum_rule_polynomial(n, FIBONACCI)
 
 
-def _appell(n: int, pair: tuple, numbers: Sequence | None, row: Sequence | None) -> Polynomial:
-    # sum over j <= n of row[j] b_j x^(n-j); what is missing comes from the family's rows
+def _sum_rule_polynomial(n: int, pair: tuple) -> Polynomial:
+    # the Appell sum on rows 0..n+1 of the family's table and the sum-rule numbers they give
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if numbers is None or row is None:
-        rows = tuple(fibonomial_rows(FibTable(n + 1, *pair)))
-        if numbers is None:
-            numbers = _sum_rule_numbers(n, pair, rows)
-        if row is None:
-            row = rows[n]
+    rows = tuple(fibonomial_rows(FibTable(n + 1, *pair)))
+    return _appell(rows[n], _sum_rule_numbers(n, rows))
+
+
+def _appell(row: Sequence, numbers: Sequence) -> Polynomial:
+    # sum over j <= n of row[j] b_j x^(n-j), where row is [n, 0..n]
+    n = len(row) - 1
     return Polynomial(row[n - i] * numbers[n - i] for i in range(n + 1))
 
 
-def bf_polynomial_genfunc(
-    n: int,
-    reciprocal: TruncatedSeries | None = None,
-    table: FibTable | None = None,
-) -> Polynomial:
+def bf_polynomial_genfunc(n: int) -> Polynomial:
     """B^F_n(x) extracted from the z-expansion of z*e_F(zx)/(e_F(z) - 1).
 
     Writing r_m for the z^m coefficient of the reciprocal z/(e_F(z) - 1),
@@ -150,16 +145,17 @@ def bf_polynomial_genfunc(
         B^F_n(x) = sum over k of (F_n!/F_k!) r_(n-k) x^k.
 
     Independent of :func:`bf_polynomial`: no Bernoulli-Fibonacci number is
-    computed along the way.  A shared ``reciprocal`` (order >= n) and
-    ``table`` (limit >= n, or n + 1 to build the reciprocal from it) may be
-    passed; whichever is missing is built here, the reciprocal from ``table``.
+    computed along the way.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if table is None:
-        table = FibTable(n + 1)
-    if reciprocal is None:
-        reciprocal = _inverse_shifted_exponential(n, table.factorial)
+    table = FibTable(n + 1)
+    return _genfunc(n, _inverse_shifted_exponential(n, table.factorial), table)
+
+
+def _genfunc(n: int, reciprocal: TruncatedSeries, table: FibTable) -> Polynomial:
+    # that sum for the family of ``table`` (limit >= n), whose U_k! stand for F_k!,
+    # over the r_m of its ``reciprocal`` (order >= n)
     top = table.factorial(n)
     return Polynomial(
         top // table.factorial(k) * reciprocal.coefficient(n - k) for k in range(n + 1)
@@ -182,8 +178,8 @@ def h_polynomial_sum(n: int) -> Polynomial:
     if n < 1:
         raise ValueError("n must be at least 1")
     rows = tuple(fibonomial_rows(FibTable(n + 1)))
-    numbers = bf_numbers_recursive(n, rows)
-    polynomials = [bf_polynomial(m, numbers, rows[m]) for m in range(n + 1)]
+    numbers = _sum_rule_numbers(n, rows)
+    polynomials = [_appell(rows[m], numbers) for m in range(n + 1)]
     return linear_combination((rows[n][k], polynomials[n - k]) for k in range(n + 1))
 
 
@@ -195,7 +191,7 @@ def h_polynomial_explicit(n: int, numbers: Sequence[Fraction], row: Sequence[int
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _appell(n, FIBONACCI, (1, 0, *numbers[2 : n + 1]), row)
+    return _appell(row, (1, 0, *numbers[2 : n + 1]))
 
 
 def classical_bernoulli_numbers(max_n: int) -> list[Fraction]:
@@ -210,11 +206,9 @@ def classical_bernoulli_numbers_recursive(max_n: int) -> list[Fraction]:
     which pins down b_n once the earlier values are known.  That is the
     Fibonomial sum rule of :func:`bf_numbers_recursive` on the rows C(n, .).
     """
-    return _sum_rule_numbers(max_n, CLASSICAL)
+    return _recursive_numbers(max_n, CLASSICAL)
 
 
-def classical_bernoulli_polynomial(
-    n: int, numbers: Sequence[Fraction] | None = None, row: Sequence[int] | None = None
-) -> Polynomial:
+def classical_bernoulli_polynomial(n: int) -> Polynomial:
     """B_n(x) = sum over j of C(n, j) b_j x^(n-j), as :func:`bf_polynomial` on the rows C(n, .)."""
-    return _appell(n, CLASSICAL, numbers, row)
+    return _sum_rule_polynomial(n, CLASSICAL)

@@ -20,8 +20,8 @@ by two independent routes:
   traps every rounding), whose digit strings cost linear time at any size.
 - The factorial ratio: ``FibTable.fibonomial`` divides with the exactness
   of the division asserted, so any arithmetic slip trips immediately
-  instead of truncating.  It is the public reference
-  (:func:`fibonomial`, :func:`fibonomial_row`).  ``verify``'s
+  instead of truncating.  It is the public reference, with
+  :func:`fibonomial_row` for a whole row.  ``verify``'s
   ``fibonomial-integrality`` check proves each Pascal row equal to it
   through the ratio rule [n, k+1] F_(k+1) = [n, k] F_(n-k)
   (:func:`ratio_rule_break`), which relates neighbours within one row
@@ -93,24 +93,6 @@ class FibTable:
         if remainder:
             raise ExactnessError(f"inexact Fibonomial division for n={n}, k={k}")
         return quotient
-
-
-def fib(n: int) -> int:
-    """F_n by the additive recurrence."""
-    _require_nonnegative(n)
-    return FibTable(n).fib(n)
-
-
-def fib_factorial(n: int) -> int:
-    """F_n! = F_1 * F_2 * ... * F_n, with F_0! = 1."""
-    _require_nonnegative(n)
-    return FibTable(n).factorial(n)
-
-
-def fibonomial(n: int, k: int) -> int:
-    """[n, k] as an exact factorial ratio; always an integer."""
-    _require_nonnegative(n)
-    return FibTable(n).fibonomial(n, k)
 
 
 def fibonomial_row(n: int) -> tuple[int, ...]:

@@ -17,17 +17,20 @@ scale off one degree parameter N: polynomial-level identities run to N,
 number-level identities to 2N, and the Binet cross-check to 8N, so the
 default N = 32 exercises degrees 32/64/256 respectively.
 
-Shared work is built once per degree.  ``verify_identities`` builds one
-Fibonacci table, the Pascal-rule Fibonomial rows 0..2N+1, one reciprocal
-of (e_F(z) - 1)/z and both number routes over 0..2N, and B^F_0..B^F_N
-with the classical rows C(n, .) (a table at ``CLASSICAL``), numbers and
-polynomials over 0..N, since no identity reads a polynomial above N.  The
-sum over l < n of [n, l] B^F_l and the closed form of H_n are each formed
-once per n and shared, so ``h-polynomial-two-derivations`` holds whenever
-``fibonomial-sum-recursion`` and ``h-polynomial-closed-form`` do.  The
-core layer shares one Fibonacci table over 0..8N, its own Pascal rows
-0..2N, and the power ladders phi^0..phi^N and (-1/phi)^0..(-1/phi)^N
-across every Pascal-recursion check.  Every Fibonomial either layer reads
+Shared work is built once per degree, by one builder per Lucas family:
+``_family(pair, n_num, n_poly)`` builds a table and its Pascal rows
+0..n_num+1, the reciprocal of (E(z) - 1)/z, the series numbers and the
+sum-rule numbers over 0..n_num, and the Appell polynomials over
+0..n_poly from the sum-rule numbers.  ``verify_identities`` calls it at
+``FIBONACCI`` with numbers to 2N and at ``CLASSICAL`` with numbers to N,
+since no identity reads a polynomial above N or a classical number above
+N.  The sum over l < n of [n, l] B^F_l and the closed form of H_n are
+each formed once per n and shared, so ``h-polynomial-two-derivations``
+holds whenever ``fibonomial-sum-recursion`` and
+``h-polynomial-closed-form`` do.  The core layer shares one Fibonacci
+table over 0..8N, its own Pascal rows 0..2N, and the power ladders
+phi^0..phi^N and (-1/phi)^0..(-1/phi)^N across every Pascal-recursion
+check.  Every Fibonomial either layer reads
 comes from its rows.  The second Fibonomial route is the ratio rule
 [n, k+1] F_(k+1) = [n, k] F_(n-k) of ``fibonomial-integrality``, which
 proves every row entry equal to the factorial ratio; the ratio itself is
@@ -39,19 +42,21 @@ The two layers share no table, row or ladder.  So from order
 (see :mod:`goldencalc.cli`): neither layer can read what the other built,
 and the reports come back in the same order.
 
-The polynomials B^F_n come from the recursive numbers, while the series
-numbers and the generating-function polynomials are read off the
-reciprocal.  So ``polynomials-cross-method``,
+In both families the polynomials come from the sum-rule numbers, while
+the series numbers and the Fibonacci generating-function polynomials are
+read off the reciprocal.  So ``polynomials-cross-method``,
 ``value-at-one-equals-number``, ``h-polynomial-two-derivations`` and
 ``h-polynomial-closed-form`` each set the recursive route against the
 series route, as ``numbers-cross-method`` and
-``constant-term-equals-number`` do number by number.  The sum rule is
-checked on each route alone: ``number-sum-vanishes`` on the series
-numbers, ``fibonomial-sum-recursion`` on the polynomials.  The two
-derivative identities hold for any number sequence (the Appell
-property), so they check the polynomial structure, not the numbers.
-``_family_checks`` states the sum rule, the value at one and the lowering
-derivative once, and each family runs them under its own names.
+``constant-term-equals-number`` do number by number, and
+``classical-value-at-one`` does for the classical family.  The sum rule
+is checked on each route alone: ``number-sum-vanishes`` and
+``classical-number-sum-vanishes`` on the series numbers,
+``fibonomial-sum-recursion`` on the polynomials.  The two derivative
+identities hold for any number sequence (the Appell property), so they
+check the polynomial structure, not the numbers.  ``_family_checks``
+states the sum rule, the value at one and the lowering derivative once,
+on one family's record, and each family runs them under its own names.
 """
 
 from __future__ import annotations
@@ -63,14 +68,13 @@ from itertools import islice
 
 from .bernoulli import (
     CLASSICAL,
+    FIBONACCI,
+    _appell,
+    _genfunc,
     _inverse_shifted_exponential,
     _numbers_from_reciprocal,
-    bf_numbers_recursive,
+    _sum_rule_numbers,
     bf_numbers_series,  # noqa: F401  (perfbench's tracer test patches it here)
-    bf_polynomial,
-    bf_polynomial_genfunc,
-    classical_bernoulli_numbers,
-    classical_bernoulli_polynomial,
     h_polynomial_explicit,
 )
 from .fibonacci import (
@@ -141,6 +145,23 @@ def _text(value: object) -> str:
     return str(value)
 
 
+# One Lucas family's inputs: its table and Pascal rows to n_num + 1, the
+# reciprocal of (E(z) - 1)/z and the series and sum-rule numbers to n_num,
+# and the Appell polynomials to n_poly, built from the sum-rule numbers.
+Family = namedtuple("Family", "table rows reciprocal series_numbers sum_rule_numbers polys")
+
+
+def _family(pair: tuple, n_num: int, n_poly: int) -> Family:
+    """Build the inputs of the family at the Lucas pair ``pair``, each once."""
+    table = FibTable(n_num + 1, *pair)
+    rows = tuple(fibonomial_rows(table))
+    reciprocal = _inverse_shifted_exponential(n_num, table.factorial)
+    series_numbers = _numbers_from_reciprocal(reciprocal, table.factorial)
+    sum_rule_numbers = _sum_rule_numbers(n_num, rows)
+    polys = [_appell(rows[n], sum_rule_numbers) for n in range(n_poly + 1)]
+    return Family(table, rows, reciprocal, series_numbers, sum_rule_numbers, polys)
+
+
 def verify_identities(max_degree: int) -> list[VerificationReport]:
     """Run every Bernoulli-layer identity up to the given degree.
 
@@ -151,27 +172,15 @@ def verify_identities(max_degree: int) -> list[VerificationReport]:
     n_poly = max_degree
     n_num = 2 * max_degree
 
-    fib_table = FibTable(n_num + 1)
-    rows = tuple(fibonomial_rows(fib_table))
-    reciprocal = _inverse_shifted_exponential(n_num, fib_table.factorial)
-    series_numbers = _numbers_from_reciprocal(reciprocal, fib_table.factorial)
-    recursive_numbers = bf_numbers_recursive(n_num, rows)
-    polys = [bf_polynomial(n, recursive_numbers, rows[n]) for n in range(n_poly + 1)]
-    classical_table = FibTable(n_poly, *CLASSICAL)
-    binomials = tuple(fibonomial_rows(classical_table))
-    classical_nums = classical_bernoulli_numbers(n_poly)
-    classical_polys = [
-        classical_bernoulli_polynomial(n, classical_nums, row) for n, row in enumerate(binomials)
-    ]
-    sum_rule, value_at_one, lowering = _family_checks(
-        rows, series_numbers, polys, fib_table.values
-    )
-    classical_sum_rule, classical_value_at_one, classical_lowering = _family_checks(
-        binomials, classical_nums, classical_polys, classical_table.values
-    )
+    fibonacci = _family(FIBONACCI, n_num, n_poly)
+    classical = _family(CLASSICAL, n_poly, n_poly)
+    rows, polys, series_numbers = fibonacci.rows, fibonacci.polys, fibonacci.series_numbers
+    recursive_numbers = fibonacci.sum_rule_numbers
+    sum_rule, value_at_one, lowering = _family_checks(fibonacci)
+    classical_sum_rule, classical_value_at_one, classical_lowering = _family_checks(classical)
 
     def fib_monomial(n):
-        return Polynomial.monomial(n - 1, Fraction(fib_table.fib(n)))
+        return Polynomial.monomial(n - 1, Fraction(fibonacci.table.fib(n)))
 
     # sum over l < n of [n, l] B^F_l; plus B^F_n it is H_n, as [n, k] = [n, n-k]
     degrees = range(1, n_poly + 1)
@@ -184,7 +193,7 @@ def verify_identities(max_degree: int) -> list[VerificationReport]:
             "polynomials-cross-method",
             0,
             n_poly,
-            lambda n: (polys[n], bf_polynomial_genfunc(n, reciprocal, fib_table)),
+            lambda n: (polys[n], _genfunc(n, fibonacci.reciprocal, fibonacci.table)),
         ),
         _run("golden-derivative-lowers-degree", 1, n_poly, lowering),
         _run("fibonomial-sum-recursion", 1, n_poly, lambda n: (lower_sums[n], fib_monomial(n))),
@@ -209,18 +218,28 @@ def verify_identities(max_degree: int) -> list[VerificationReport]:
             n_num,
             lambda n: (series_numbers[n], recursive_numbers[n]),
         ),
-        _run("classical-odd-numbers-vanish", 3, n_poly, lambda n: (classical_nums[n], 0), step=2),
+        _run(
+            "classical-odd-numbers-vanish",
+            3,
+            n_poly,
+            lambda n: (classical.series_numbers[n], 0),
+            step=2,
+        ),
         _run("classical-number-sum-vanishes", 2, n_poly, classical_sum_rule),
         _run("classical-value-at-one", 2, n_poly, classical_value_at_one),
         _run("classical-derivative-lowers-degree", 1, n_poly, classical_lowering),
     ]
 
 
-def _family_checks(rows, numbers, polys, values) -> tuple[Callable, Callable, Callable]:
+def _family_checks(family: Family) -> tuple[Callable, Callable, Callable]:
     """One family's sum rule, value at one and lowering derivative, as checks of n.
 
-    ``rows``, ``numbers``, ``polys`` and ``values`` are its rows, b_n, B_n and U_n.
+    The sum rule and the value at one read the series numbers; the
+    polynomials come from the sum-rule numbers, so the value at one sets
+    the two number routes against each other.
     """
+    rows, numbers, polys = family.rows, family.series_numbers, family.polys
+    values = family.table.values
     return (
         lambda n: (sum_of_products(zip(rows[n][:n], numbers)), 0),
         lambda n: (polys[n](Fraction(1)), numbers[n]),

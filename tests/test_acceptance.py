@@ -22,7 +22,6 @@ from goldencalc import (
     bf_polynomial_genfunc,
     binet,
     classical_bernoulli_numbers,
-    classical_bernoulli_polynomial,
     fibonomial_rec_a,
     fibonomial_rec_b,
     fibonomial_rows,
@@ -31,6 +30,7 @@ from goldencalc import (
     golden_power_ladders,
 )
 from goldencalc import cli
+from goldencalc.bernoulli import CLASSICAL, _appell
 from goldencalc.verify import Counterexample, VerificationReport
 
 F = Fraction
@@ -102,7 +102,8 @@ def test_criterion_3_published_polynomials():
 def test_criterion_4_identity_suite_at_32(capsys):
     fib_table = FibTable(65)
     numbers = bf_numbers_series(64)
-    polys = [bf_polynomial(n, numbers) for n in range(33)]
+    rows = tuple(fibonomial_rows(FibTable(32)))
+    polys = [_appell(rows[n], numbers) for n in range(33)]
 
     derivative_ok = all(
         golden_derivative(polys[n]) == polys[n - 1] * fib_table.fib(n)
@@ -127,7 +128,6 @@ def test_criterion_4_identity_suite_at_32(capsys):
 
     from goldencalc import h_polynomial_explicit, h_polynomial_sum
 
-    rows = tuple(fibonomial_rows(FibTable(32)))
     appendix_ok = True
     for n in range(1, 33):
         expected = polys[n] + Polynomial.monomial(n - 1, F(fib_table.fib(n)))
@@ -203,7 +203,8 @@ def test_criterion_6_fibonomial_and_binet_properties():
 
 def test_criterion_7_classical_baseline():
     numbers = classical_bernoulli_numbers(32)
-    polys = [classical_bernoulli_polynomial(n, numbers) for n in range(33)]
+    binomials = tuple(fibonomial_rows(FibTable(32, *CLASSICAL)))
+    polys = [_appell(binomials[n], numbers) for n in range(33)]
     checks = [
         ("b_0..b_6 match the published list", numbers[:7] == PUBLISHED_CLASSICAL_NUMBERS),
         ("odd numbers b_3..b_31 vanish", all(numbers[n] == 0 for n in range(3, 32, 2))),

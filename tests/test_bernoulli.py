@@ -14,12 +14,12 @@ from goldencalc import (
     classical_bernoulli_numbers,
     classical_bernoulli_numbers_recursive,
     classical_bernoulli_polynomial,
-    fib,
     fibonomial_rows,
     h_polynomial_explicit,
     h_polynomial_sum,
 )
 from goldencalc import bernoulli
+from goldencalc.bernoulli import _appell, _genfunc, _sum_rule_numbers
 from goldencalc.polynomials import lucas_derivative
 
 from conftest import fib_by_addition, fib_factorial_by_product
@@ -130,8 +130,8 @@ class TestNumbers:
 
     def test_recursive_reads_passed_rows(self):
         rows = tuple(fibonomial_rows(FibTable(41)))
-        assert bf_numbers_recursive(40, rows) == bf_numbers_recursive(40)
-        assert bf_numbers_recursive(12, rows) == bf_numbers_recursive(12)
+        assert _sum_rule_numbers(40, rows) == bf_numbers_recursive(40)
+        assert _sum_rule_numbers(12, rows) == bf_numbers_recursive(12)
 
     def test_degenerate_bounds(self):
         assert bf_numbers_series(0) == [F(1)]
@@ -163,14 +163,17 @@ class TestPolynomials:
 
     def test_constant_terms_equal_numbers(self):
         numbers = bf_numbers_series(24)
+        rows = tuple(fibonomial_rows(FibTable(24)))
         for n in range(25):
-            assert bf_polynomial(n, numbers).coefficient(0) == numbers[n]
+            assert _appell(rows[n], numbers).coefficient(0) == numbers[n]
 
     def test_rows_replace_the_factorial_ratio(self, monkeypatch):
         numbers = bf_numbers_series(20)
-        expected = [bf_polynomial(n, numbers) for n in range(21)]
+        expected = [bf_polynomial(n) for n in range(21)]
         # H_n = B^F_n + F_n x^(n-1)
-        h_expected = [expected[n] + Polynomial.monomial(n - 1, F(fib(n))) for n in range(1, 21)]
+        h_expected = [
+            expected[n] + Polynomial.monomial(n - 1, F(fib_by_addition(n))) for n in range(1, 21)
+        ]
         rows = list(fibonomial_rows(FibTable(20)))
 
         def forbidden(*args):
@@ -178,7 +181,7 @@ class TestPolynomials:
 
         monkeypatch.setattr(FibTable, "fibonomial", forbidden)
         for n in range(21):
-            assert bf_polynomial(n, numbers, row=rows[n]) == expected[n]
+            assert _appell(rows[n], numbers) == expected[n]
         for n in range(1, 21):
             assert h_polynomial_sum(n) == h_expected[n - 1]
             assert h_polynomial_explicit(n, numbers, row=rows[n]) == h_expected[n - 1]
@@ -213,18 +216,19 @@ class TestPolynomials:
         for n in range(25):
             assert bf_polynomial(n) == expected[n]
         for n in range(1, 25):
-            h_n = expected[n] + Polynomial.monomial(n - 1, F(fib(n)))
+            h_n = expected[n] + Polynomial.monomial(n - 1, F(fib_by_addition(n)))
             assert h_polynomial_sum(n) == h_n
         assert bf_eval(6, 1) == F(101, 39)
 
     def test_genfunc_reads_a_reciprocal_passed_alone(self):
+        # the reciprocal is the only series read: a table of any limit >= n gives the same
         table = FibTable(9)
         coeffs = list(bernoulli._inverse_shifted_exponential(8, table.factorial).coeffs)
         coeffs[3] += F(1, 7)
         perturbed = TruncatedSeries(coeffs)
         for n in range(3, 9):
-            alone = bf_polynomial_genfunc(n, perturbed)
-            assert alone == bf_polynomial_genfunc(n, perturbed, table)
+            alone = _genfunc(n, perturbed, FibTable(n))
+            assert alone == _genfunc(n, perturbed, table)
             assert alone != bf_polynomial_genfunc(n)
 
     def test_genfunc_degree_zero(self):
@@ -243,7 +247,7 @@ class TestPolynomials:
         monkeypatch.setattr(bernoulli, "bf_numbers_recursive", forbidden)
         for n in range(33):
             assert bf_polynomial_genfunc(n) == expected[n]
-            assert bf_polynomial_genfunc(n, reciprocal, table) == expected[n]
+            assert _genfunc(n, reciprocal, table) == expected[n]
 
 
 class TestEvaluation:
@@ -309,7 +313,7 @@ class TestHPolynomials:
 
     def test_closed_form_relation(self):
         for n in range(1, 20):
-            expected = bf_polynomial(n) + Polynomial.monomial(n - 1, F(fib(n)))
+            expected = bf_polynomial(n) + Polynomial.monomial(n - 1, F(fib_by_addition(n)))
             assert h_polynomial_sum(n) == expected
 
     def test_shared_inputs_give_the_same_polynomials(self):
@@ -318,8 +322,8 @@ class TestHPolynomials:
         rows = tuple(fibonomial_rows(FibTable(25)))
         for n in range(1, 13):
             expected = h_polynomial_sum(n)
-            polynomial = bf_polynomial(n, numbers, rows[n])
-            assert polynomial + Polynomial.monomial(n - 1, F(fib(n))) == expected
+            polynomial = _appell(rows[n], numbers)
+            assert polynomial + Polynomial.monomial(n - 1, F(fib_by_addition(n))) == expected
             assert h_polynomial_explicit(n, numbers, rows[n]) == expected
 
     def test_degree_zero_rejected(self):
@@ -370,14 +374,18 @@ class TestClassicalBaseline:
 
     def test_value_at_one(self):
         numbers = classical_bernoulli_numbers(32)
+        rows = tuple(fibonomial_rows(FibTable(32, *bernoulli.CLASSICAL)))  # C(n, .)
         for n in range(2, 33):
-            assert classical_bernoulli_polynomial(n, numbers)(F(1)) == numbers[n]
+            assert _appell(rows[n], numbers)(F(1)) == numbers[n]
+            assert _appell(rows[n], numbers) == classical_bernoulli_polynomial(n)
 
     def test_derivative_lowers_degree(self):
         numbers = classical_bernoulli_numbers(32)
-        values = FibTable(32, *bernoulli.CLASSICAL).values  # U_n = n
+        table = FibTable(32, *bernoulli.CLASSICAL)
+        rows = tuple(fibonomial_rows(table))
+        values = table.values  # U_n = n
         for n in range(1, 33):
-            lhs = lucas_derivative(classical_bernoulli_polynomial(n, numbers), values)
-            rhs = classical_bernoulli_polynomial(n - 1, numbers) * n
+            lhs = lucas_derivative(_appell(rows[n], numbers), values)
+            rhs = _appell(rows[n - 1], numbers) * n
             assert lhs == rhs
 

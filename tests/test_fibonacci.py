@@ -11,9 +11,6 @@ from goldencalc import (
     binet,
     classical_bernoulli_numbers,
     classical_bernoulli_numbers_recursive,
-    fib,
-    fib_factorial,
-    fibonomial,
     fibonomial_rec_a,
     fibonomial_rec_b,
     fibonomial_row,
@@ -26,6 +23,10 @@ from goldencalc.bernoulli import CLASSICAL
 from goldencalc.fibonacci import ratio_rule_break
 
 from conftest import fib_by_addition, fib_factorial_by_product, fibonomial_by_ratio
+
+
+def fib(n):
+    return FibTable(n).fib(n)
 
 
 class TestFib:
@@ -46,7 +47,7 @@ class TestFib:
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            fib(-1)
+            FibTable(-1)
 
 
 class TestFibTable:
@@ -101,15 +102,16 @@ class TestClassicalTable:
 
 class TestFibFactorial:
     def test_empty_product(self):
-        assert fib_factorial(0) == 1
+        assert FibTable(0).factorial(0) == 1
 
     def test_against_product_oracle(self):
+        table = FibTable(39)
         assert fib_factorial_by_product(4) == 6
-        assert fib_factorial(4) == 6
+        assert table.factorial(4) == 6
         assert fib_factorial_by_product(5) == 30
-        assert fib_factorial(5) == 30
+        assert table.factorial(5) == 30
         for n in range(40):
-            assert fib_factorial(n) == fib_factorial_by_product(n)
+            assert table.factorial(n) == fib_factorial_by_product(n)
 
 
 class TestBinet:
@@ -128,15 +130,17 @@ class TestBinet:
 
 class TestFibonomial:
     def test_edges_are_one(self):
+        table = FibTable(19)
         for n in range(20):
-            assert fibonomial(n, 0) == 1
-            assert fibonomial(n, n) == 1
+            assert table.fibonomial(n, 0) == 1
+            assert table.fibonomial(n, n) == 1
 
     def test_against_ratio_oracle(self):
+        table = FibTable(7)
         assert fibonomial_by_ratio(4, 2) == 6
-        assert fibonomial(4, 2) == 6
+        assert table.fibonomial(4, 2) == 6
         assert fibonomial_by_ratio(7, 3) == 260
-        assert fibonomial(7, 3) == 260
+        assert table.fibonomial(7, 3) == 260
 
     def test_row_seven(self):
         assert fibonomial_row(7) == (1, 13, 104, 260, 260, 104, 13, 1)
@@ -155,7 +159,7 @@ class TestFibonomial:
 
     def test_k_exceeding_n_rejected(self):
         with pytest.raises(ValueError):
-            fibonomial(3, 4)
+            FibTable(3).fibonomial(3, 4)
 
 
 class TestFibonomialTriangle:
@@ -256,8 +260,8 @@ class TestPascalRecursions:
         assert fibonomial_rec_a(2, 1, *pascal_inputs(2)).to_rational() == 1
 
     def test_matches_factorial_ratio(self):
-        assert fibonomial_rec_a(4, 2, *pascal_inputs(4)) == fibonomial(4, 2)
-        assert fibonomial_rec_b(7, 3, *pascal_inputs(7)) == fibonomial(7, 3)
+        assert fibonomial_rec_a(4, 2, *pascal_inputs(4)) == fibonomial_by_ratio(4, 2)
+        assert fibonomial_rec_b(7, 3, *pascal_inputs(7)) == fibonomial_by_ratio(7, 3)
 
     def test_both_recursions_up_to_32(self):
         table = FibTable(32)

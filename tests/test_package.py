@@ -31,3 +31,12 @@ def test_importing_the_cli_loads_no_stdlib_module_that_no_command_needs():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_the_readme_library_example_runs():
+    # so a removed or renamed public name cannot leave the example broken
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    assert "bf_polynomial" in code
+    exec(compile(code, f"{readme}:Library example", "exec"), {})

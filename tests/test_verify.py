@@ -13,6 +13,7 @@ from goldencalc import (
     bf_numbers_recursive,
     bf_numbers_series,
     classical_bernoulli_numbers,
+    classical_bernoulli_numbers_recursive,
     classical_bernoulli_polynomial,
     core_property_reports,
     fibonomial_rows,
@@ -117,15 +118,26 @@ def test_fibonomial_integrality_checks_the_ratio_rule(monkeypatch):
     assert all(r.passed for name, r in core.items() if name != "fibonomial-integrality")
 
 
+def _pair_of(args):
+    """The Lucas pair of the family whose table, or rows, a builder's last input is.
+
+    A family's rows give its pair (p, q) by [2, 1] = U_2 = p and [3, 1] = U_3 = p^2 - q.
+    """
+    last = args[-1]
+    table = getattr(last, "__self__", last)  # a table, or one of its bound methods
+    if isinstance(table, FibTable):
+        return table.pair
+    p = last[2][1]
+    return p, p * p - last[3][1]
+
+
+def _of_family(calls, family):
+    """The recorded (args, result) of each call that read ``family``'s table or rows."""
+    return [call for call in calls if _pair_of(call[0]) == family]
+
+
 def test_constant_term_compares_genfunc_with_the_recursive_route(monkeypatch):
-    recursive = verify.bf_numbers_recursive
-
-    def corrupted(*args, **kwargs):
-        numbers = recursive(*args, **kwargs)
-        numbers[10] += Fraction(1, 7)
-        return numbers
-
-    monkeypatch.setattr(verify, "bf_numbers_recursive", corrupted)
+    _fault_in_a_number(monkeypatch, "_sum_rule_numbers", FIBONACCI, 10)
     reports = {r.identity: r for r in verify_identities(8)}
     report = reports["constant-term-equals-number"]
     assert not report.passed
@@ -149,23 +161,27 @@ ROUTE_CROSS_CHECKS = {
 
 
 def _fault_in_the_fibonacci_reciprocal(monkeypatch):
-    # verify inverts only the Fibonacci family's series through this binding
     inverse = verify._inverse_shifted_exponential
 
     def faulty(order, factorial):
-        coeffs = list(inverse(order, factorial).coeffs)
+        reciprocal = inverse(order, factorial)
+        if _pair_of((factorial,)) != FIBONACCI:
+            return reciprocal
+        coeffs = list(reciprocal.coeffs)
         coeffs[5] += Fraction(1, 7)
         return TruncatedSeries(coeffs)
 
     monkeypatch.setattr(verify, "_inverse_shifted_exponential", faulty)
 
 
-def _fault_in_a_number(monkeypatch, name, index):
+def _fault_in_a_number(monkeypatch, name, family, index):
+    """Add 1/7 to b_index of what ``verify.<name>`` returns for ``family``, a Lucas pair."""
     route = getattr(verify, name)
 
-    def faulty(*args, **kwargs):
-        numbers = route(*args, **kwargs)
-        numbers[index] += Fraction(1, 7)
+    def faulty(*args):
+        numbers = route(*args)
+        if _pair_of(args) == family:
+            numbers[index] += Fraction(1, 7)
         return numbers
 
     monkeypatch.setattr(verify, name, faulty)
@@ -180,13 +196,20 @@ BERNOULLI_FAULTS = [
     ),
     (
         "recursive b^F_5 + 1/7",
-        lambda mp: _fault_in_a_number(mp, "bf_numbers_recursive", 5),
+        lambda mp: _fault_in_a_number(mp, "_sum_rule_numbers", FIBONACCI, 5),
         ROUTE_CROSS_CHECKS | {"fibonomial-sum-recursion"},
     ),
     (
         "classical b_3 + 1/7",
-        lambda mp: _fault_in_a_number(mp, "classical_bernoulli_numbers", 3),
+        lambda mp: _fault_in_a_number(mp, "_numbers_from_reciprocal", CLASSICAL, 3),
         {"classical-number-sum-vanishes", "classical-odd-numbers-vanish", "classical-value-at-one"},
+    ),
+    # the classical polynomials read the sum-rule numbers, and only the
+    # value at one sets them against the series numbers
+    (
+        "classical sum-rule b_4 + 1/7",
+        lambda mp: _fault_in_a_number(mp, "_sum_rule_numbers", CLASSICAL, 4),
+        {"classical-value-at-one"},
     ),
     # The Appell property D B_n = c_n B_(n-1) holds for any number sequence,
     # so only a fault in a family's rows turns its derivative identity red.
@@ -316,15 +339,13 @@ def _recorded(monkeypatch, name):
     return calls
 
 
-# what verify_identities builds its inputs with, once per degree
+# what verify._family builds each family's inputs with, once per degree
 INPUT_BUILDERS = (
     "fibonomial_rows",
     "_inverse_shifted_exponential",
     "_numbers_from_reciprocal",
-    "bf_numbers_recursive",
-    "bf_polynomial",
-    "classical_bernoulli_numbers",
-    "classical_bernoulli_polynomial",
+    "_sum_rule_numbers",
+    "_appell",
 )
 
 
@@ -337,32 +358,34 @@ def _inputs_of_verify_identities(monkeypatch, max_degree):
 
 def test_polynomials_are_built_only_to_the_polynomial_degree(monkeypatch):
     calls = _inputs_of_verify_identities(monkeypatch, 8)
-    assert [args[0] for args, _ in calls["bf_polynomial"]] == list(range(9))
-    assert [args[0] for args, _ in calls["classical_bernoulli_polynomial"]] == list(range(9))
-    [(_, classical)] = calls["classical_bernoulli_numbers"]
+    # the Fibonacci family is built first, then the classical one
+    degrees = [len(row) - 1 for (row, _), _ in calls["_appell"]]
+    assert degrees[:9] == list(range(9))
+    assert degrees[9:] == list(range(9))
+    [(_, classical)] = _of_family(calls["_numbers_from_reciprocal"], CLASSICAL)
     assert len(classical) == 9
-    [(_, series)] = calls["_numbers_from_reciprocal"]
-    [((_, rows), recursive)] = calls["bf_numbers_recursive"]
+    [(_, series)] = _of_family(calls["_numbers_from_reciprocal"], FIBONACCI)
+    [((_, rows), recursive)] = _of_family(calls["_sum_rule_numbers"], FIBONACCI)
     assert len(series) == len(recursive) == 17
     assert len(rows) == 18
 
 
 def test_builds_the_pascal_rows_once(monkeypatch):
-    # once per family: the Fibonomials to 2N+1 and the binomials to N
+    # once per family: the Fibonomials to 2N+1 and the binomials to N+1
     calls = _recorded(monkeypatch, "fibonomial_rows")
     assert all(report.passed for report in verify_identities(16))
     built = [(table.pair, table.limit) for (table,), _ in calls]
-    assert built == [(FIBONACCI, 33), (CLASSICAL, 16)]
+    assert built == [(FIBONACCI, 33), (CLASSICAL, 17)]
 
 
 def test_polynomials_are_built_from_the_recursive_numbers(monkeypatch):
     calls = _inputs_of_verify_identities(monkeypatch, 12)
-    [(_, series)] = calls["_numbers_from_reciprocal"]
-    [(_, recursive)] = calls["bf_numbers_recursive"]
+    [(_, series)] = _of_family(calls["_numbers_from_reciprocal"], FIBONACCI)
+    [(_, recursive)] = _of_family(calls["_sum_rule_numbers"], FIBONACCI)
     assert series == bf_numbers_series(24)
-    for n, (args, polynomial) in enumerate(calls["bf_polynomial"]):
+    for n, ((row, numbers), polynomial) in enumerate(calls["_appell"][:13]):
         # built from the recursive numbers, checked against the series ones
-        assert args[0] == n and args[1] is recursive
+        assert len(row) - 1 == n and numbers is recursive
         assert polynomial.coefficient(0) == series[n]
         assert polynomial.degree == n
 
@@ -372,20 +395,49 @@ def test_builds_every_route_of_one_degree(monkeypatch):
     calls = _inputs_of_verify_identities(monkeypatch, 12)
     [((table,), _), ((classical_table,), _)] = calls["fibonomial_rows"]
     assert table.limit == 25
-    assert classical_table.limit == 12
-    [((order, _), reciprocal)] = calls["_inverse_shifted_exponential"]
+    assert classical_table.limit == 13
+    [((order, _), reciprocal)] = _of_family(calls["_inverse_shifted_exponential"], FIBONACCI)
     assert order == reciprocal.order == 24
-    [((_, rows), recursive)] = calls["bf_numbers_recursive"]
+    [((_, rows), recursive)] = _of_family(calls["_sum_rule_numbers"], FIBONACCI)
     assert rows == tuple(fibonomial_rows(FibTable(25)))
     assert recursive == bf_numbers_recursive(24)
-    assert len(calls["bf_polynomial"]) == len(calls["classical_bernoulli_polynomial"]) == 13
-    [(_, classical)] = calls["classical_bernoulli_numbers"]
+    assert len(calls["_appell"]) == 2 * 13
+    [(_, classical)] = _of_family(calls["_numbers_from_reciprocal"], CLASSICAL)
     assert classical == classical_bernoulli_numbers(12)
-    for n, (args, polynomial) in enumerate(calls["classical_bernoulli_polynomial"]):
+    [(_, classical_sum_rule)] = _of_family(calls["_sum_rule_numbers"], CLASSICAL)
+    assert classical_sum_rule == classical_bernoulli_numbers_recursive(12)
+    for n, ((row, numbers), polynomial) in enumerate(calls["_appell"][13:]):
         # the classical polynomials read the rows built once, C(n, 0..n)
-        assert args[0] == n and args[1] is classical
-        assert args[2] == tuple(math.comb(n, k) for k in range(n + 1))
+        assert len(row) - 1 == n and numbers is classical_sum_rule
+        assert row == tuple(math.comb(n, k) for k in range(n + 1))
         assert polynomial == classical_bernoulli_polynomial(n)
+
+
+def test_the_classical_series_numbers_read_no_row(monkeypatch):
+    # hand the classical family Fibonacci rows: only a route that reads no row keeps its numbers
+    rows = verify.fibonomial_rows
+    monkeypatch.setattr(verify, "fibonomial_rows", lambda table: rows(FibTable(table.limit)))
+    calls = _recorded(monkeypatch, "_numbers_from_reciprocal")
+    red = {r.identity for r in verify_identities(16) if not r.passed}
+    [(_, classical)] = _of_family(calls, CLASSICAL)
+    assert classical == classical_bernoulli_numbers(16)
+    assert "classical-number-sum-vanishes" in red
+    assert "classical-odd-numbers-vanish" not in red
+
+
+@pytest.mark.parametrize("pair", [(2, -1), (1, -2), (3, 2)], ids=["pell", "jacobsthal", "3,2"])
+def test_one_family_builder_serves_any_lucas_pair(pair):
+    # a route with a hidden Fibonacci-only assumption turns red on these pairs
+    family = verify._family(pair, 48, 24)
+    assert family.table.pair == pair
+    assert family.series_numbers == family.sum_rule_numbers
+    assert len(family.series_numbers) == 49 and len(family.polys) == 25
+    for n, polynomial in enumerate(family.polys):
+        assert polynomial == verify._genfunc(n, family.reciprocal, family.table)
+    sum_rule, value_at_one, lowering = verify._family_checks(family)
+    assert _run("sum rule", 2, 48, sum_rule).passed
+    assert _run("value at one", 2, 24, value_at_one).passed
+    assert _run("lowering derivative", 1, 24, lowering).passed
 
 
 def test_reports_are_deterministic():
