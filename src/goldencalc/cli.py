@@ -25,11 +25,13 @@ computed, so part of it may precede a write error or an internal error.
 Process model: two commands are each two computations that share no
 data.  From order FORK_MIN_ORDER on (N for `numbers N --method both`,
 2N for `verify N`), one of them runs in a single forked worker while
-this process runs the other: the series route of `numbers`, and the
-core layer (`core_property_reports`) of `verify`.  The worker pickles
-its result back over a pipe and ends with `os._exit`, and it is always
-reaped before the document is written.  Below that order, and for
-every other command, everything runs in this one process.
+this process runs the other.  The worker runs the series route of
+`numbers`, and `verify`'s classical family and core layer
+(`classical_family_reports` and `core_property_reports`); this process
+checks `verify`'s Fibonacci family (`fibonacci_family_reports`).  The
+worker pickles its result back over a pipe and ends with `os._exit`, and
+it is always reaped before the document is written.  Below that order,
+and for every other command, everything runs in this one process.
 """
 
 from __future__ import annotations
@@ -59,7 +61,12 @@ from .polynomials import (
     render_terms,
 )
 from .rationals import _excerpt, format_rational, parse_rational
-from .verify import VerificationReport, core_property_reports, verify_identities
+from .verify import (
+    VerificationReport,
+    classical_family_reports,
+    core_property_reports,
+    fibonacci_family_reports,
+)
 
 DEFAULT_VERIFY_BOUND = 32
 # From this order on, the two independent halves of a command run side by
@@ -68,9 +75,13 @@ DEFAULT_VERIFY_BOUND = 32
 # spare (2-core x86-64, CPython 3.11.7: two forked busy loops took as long as
 # in sequence), forcing the fork slowed `verify 32` 0.121 -> 0.167 s,
 # `verify 16` 0.092 -> 0.103 s and `numbers fib 48 --method both` 0.010 ->
-# 0.020 s (build and render, medians of 9 alternating runs), though `verify
-# 32`'s halves take 0.057 s and 0.049 s.  96 stays: from there the shorter
-# half (13 ms in `numbers 96`, 82 ms in `verify 48`) dwarfs the fork's cost.
+# 0.020 s (build and render, medians of 9 alternating runs).  With a core to
+# spare (the loops 1.75x faster side by side), forcing it took `verify 32`
+# from 0.224 to 0.209 s as a subprocess, within the runs' spread; there the
+# Fibonacci family takes 23 ms beside 54 ms of the classical family and the
+# core layer.  96 stays: from there the shorter half (13 ms in `numbers 96`;
+# in `verify 48` 82 ms of the classical family and the core layer, beside
+# 120 ms of the Fibonacci family) dwarfs the fork's cost.
 FORK_MIN_ORDER = 96
 
 
@@ -238,12 +249,13 @@ def build_binomial_document(n: int) -> OutputDocument:
 
 
 def build_verification_document(max_degree: int) -> OutputDocument:
-    core, bernoulli = _side_by_side(
-        lambda: core_property_reports(max_degree),
-        lambda: verify_identities(max_degree),
+    # the Fibonacci family shares nothing with the classical family or the core layer
+    worker, fibonacci = _side_by_side(
+        lambda: classical_family_reports(max_degree) + core_property_reports(max_degree),
+        lambda: fibonacci_family_reports(max_degree),
         2 * max_degree,
     )
-    reports = bernoulli + core
+    reports = fibonacci + worker
     payload = [_report_row(report) for report in reports]
     metadata = {
         "max_degree": max_degree,

@@ -128,15 +128,20 @@ class GoldenNumber:
         return (-self) + other
 
     def __mul__(self, other: object) -> GoldenNumber:
-        value = self._coerce(other)
-        if value is None:
-            return NotImplemented
-        x1, y1, x2, y2 = self._x, self._y, value._x, value._y
-        if y2 == 0:
-            return _reduced(x1 * x2, y1 * x2, self._d * value._d)
-        return _reduced(
-            x1 * x2 + 5 * y1 * y2, x1 * y2 + y1 * x2, self._d * value._d
-        )
+        if isinstance(other, GoldenNumber):
+            x1, y1, x2, y2 = self._x, self._y, other._x, other._y
+            if y2 == 0:
+                return _reduced(x1 * x2, y1 * x2, self._d * other._d)
+            return _reduced(
+                x1 * x2 + 5 * y1 * y2, x1 * y2 + y1 * x2, self._d * other._d
+            )
+        # a rational operand scales both components, without becoming a GoldenNumber
+        if isinstance(other, int):
+            return _reduced(self._x * other, self._y * other, self._d)
+        if isinstance(other, Fraction):
+            n = other.numerator
+            return _reduced(self._x * n, self._y * n, self._d * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 

@@ -152,20 +152,21 @@ def golden_derivative_dilatation(p: Polynomial) -> Polynomial:
         (f(phi x) - f(-x/phi)) / ((phi + 1/phi) x),
 
     taken term by term in Q(sqrt5): c_i x^i contributes
-    (c_i phi^i - c_i (-1/phi)^i) / (phi + 1/phi) to x^(i-1), with the powers
-    from :func:`~goldencalc.fibonacci.golden_power_ladders`.  Serves as the
-    independent oracle for :func:`golden_derivative`: the numerator's
-    constant term must vanish and every sqrt5 residue must cancel,
-    otherwise ExactnessError is raised.
+    (phi^i - (-1/phi)^i) c_i / (phi + 1/phi) to x^(i-1), with the powers
+    from :func:`~goldencalc.fibonacci.golden_power_ladders` and the
+    reciprocal of phi + 1/phi formed once.  Serves as the independent
+    oracle for :func:`golden_derivative`: the numerator's constant term
+    must vanish and every sqrt5 residue must cancel, otherwise
+    ExactnessError is raised.
     """
     phi_powers, conjugate_powers = golden_power_ladders(max(p.degree, 0))
-    denominator = PHI + PHI.inverse()  # = sqrt5
+    reciprocal = (PHI + PHI.inverse()).inverse()  # = 1/sqrt5
     numerator = [
-        phi_powers[i] * c - conjugate_powers[i] * c for i, c in enumerate(p.coeffs)
+        (phi_powers[i] - conjugate_powers[i]) * c for i, c in enumerate(p.coeffs)
     ]
     if numerator and numerator[0]:
         raise ExactnessError("the numerator is not divisible by x")
-    return Polynomial((term / denominator).to_rational() for term in numerator[1:])
+    return Polynomial((term * reciprocal).to_rational() for term in numerator[1:])
 
 
 def binomial_factors(n: int, k: int) -> tuple[tuple[str, int], ...]:

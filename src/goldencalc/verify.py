@@ -11,8 +11,10 @@ A report and its counterexample are named tuples, ``VerificationReport``
 and ``Counterexample``: read-only records that compare, hash and print
 by value, with ``passed`` computed from the statuses.
 
-``verify_identities`` checks the Bernoulli layer; ``core_property_reports``
-checks the Fibonacci/Golden-calculus layer underneath it.  Index bounds
+``verify_identities`` checks the Bernoulli layer, as its Fibonacci family's
+reports (``fibonacci_family_reports``) followed by its classical family's
+(``classical_family_reports``); ``core_property_reports`` checks the
+Fibonacci/Golden-calculus layer underneath it.  Index bounds
 scale off one degree parameter N: polynomial-level identities run to N,
 number-level identities to 2N, and the Binet cross-check to 8N, so the
 default N = 32 exercises degrees 32/64/256 respectively.
@@ -21,26 +23,34 @@ Shared work is built once per degree, by one builder per Lucas family:
 ``_family(pair, n_num, n_poly)`` builds a table and its Pascal rows
 0..n_num+1, the reciprocal of (E(z) - 1)/z, the series numbers and the
 sum-rule numbers over 0..n_num, and the Appell polynomials over
-0..n_poly from the sum-rule numbers.  ``verify_identities`` calls it at
-``FIBONACCI`` with numbers to 2N and at ``CLASSICAL`` with numbers to N,
-since no identity reads a polynomial above N or a classical number above
-N.  The sum over l < n of [n, l] B^F_l and the closed form of H_n are
-each formed once per n and shared, so ``h-polynomial-two-derivations``
-holds whenever ``fibonomial-sum-recursion`` and
-``h-polynomial-closed-form`` do.  The core layer shares one Fibonacci
-table over 0..8N, its own Pascal rows 0..2N, and the power ladders
-phi^0..phi^N and (-1/phi)^0..(-1/phi)^N across every Pascal-recursion
-check.  Every Fibonomial either layer reads
-comes from its rows.  The second Fibonomial route is the ratio rule
+0..n_poly from the sum-rule numbers.  ``fibonacci_family_reports`` calls
+it at ``FIBONACCI`` with numbers to 2N and ``classical_family_reports``
+at ``CLASSICAL`` with numbers to N, since no identity reads a polynomial
+above N or a classical number above N.  The sum over l < n of
+[n, l] B^F_l and the closed form of H_n are each formed once per n and
+shared, so ``h-polynomial-two-derivations`` holds whenever
+``fibonomial-sum-recursion`` and ``h-polynomial-closed-form`` do.  The
+lower sums go through the Appell factorization (``_lower_sums``): their
+x^i coefficient is [n, i] S_(n-i), with S_m the sum over j < m of
+[m, j] B^F_j(0), wherever the rows pass the ratio rule and the
+polynomials are Appell in them, and the direct sum from the first n
+where either fails.  So over these polynomials
+``fibonomial-sum-recursion`` is the sum rule at n - i scaled by [n, i].
+The core layer shares one Fibonacci table over 0..8N, its own Pascal
+rows 0..2N, and the power ladders phi^0..phi^N and
+(-1/phi)^0..(-1/phi)^N across every Pascal-recursion check.  Every
+Fibonomial either layer reads comes from its rows.  The second Fibonomial route is the ratio rule
 [n, k+1] F_(k+1) = [n, k] F_(n-k) of ``fibonomial-integrality``, which
 proves every row entry equal to the factorial ratio; the ratio itself is
 formed only for a counterexample.
 
-The two layers share no table, row or ladder.  So from order
-2N = :data:`goldencalc.cli.FORK_MIN_ORDER` on, the CLI runs
-``core_property_reports`` in a forked worker beside ``verify_identities``
-(see :mod:`goldencalc.cli`): neither layer can read what the other built,
-and the reports come back in the same order.
+The Fibonacci family shares no table, row or ladder with the classical
+family or the core layer.  So from order 2N =
+:data:`goldencalc.cli.FORK_MIN_ORDER` on, the CLI runs
+``classical_family_reports`` and ``core_property_reports`` in a forked
+worker beside ``fibonacci_family_reports`` (see :mod:`goldencalc.cli`):
+neither process can read what the other built, and the reports come back
+in the same order.
 
 In both families the polynomials come from the sum-rule numbers, while
 the series numbers and the Fibonacci generating-function polynomials are
@@ -165,26 +175,29 @@ def _family(pair: tuple, n_num: int, n_poly: int) -> Family:
 def verify_identities(max_degree: int) -> list[VerificationReport]:
     """Run every Bernoulli-layer identity up to the given degree.
 
+    The Fibonacci family's nine reports, then the classical family's four.
     Pure function of ``max_degree``; failures are reported, never raised.
     """
-    if max_degree < 3:
-        raise ValueError("max_degree must be at least 3")
+    return fibonacci_family_reports(max_degree) + classical_family_reports(max_degree)
+
+
+def fibonacci_family_reports(max_degree: int) -> list[VerificationReport]:
+    """The Bernoulli layer's Fibonacci-family identities up to the given degree."""
+    _require_bound(max_degree, 3)
     n_poly = max_degree
     n_num = 2 * max_degree
 
     fibonacci = _family(FIBONACCI, n_num, n_poly)
-    classical = _family(CLASSICAL, n_poly, n_poly)
     rows, polys, series_numbers = fibonacci.rows, fibonacci.polys, fibonacci.series_numbers
     recursive_numbers = fibonacci.sum_rule_numbers
     sum_rule, value_at_one, lowering = _family_checks(fibonacci)
-    classical_sum_rule, classical_value_at_one, classical_lowering = _family_checks(classical)
 
     def fib_monomial(n):
         return Polynomial.monomial(n - 1, Fraction(fibonacci.table.fib(n)))
 
     # sum over l < n of [n, l] B^F_l; plus B^F_n it is H_n, as [n, k] = [n, n-k]
+    lower_sums = _lower_sums(fibonacci)
     degrees = range(1, n_poly + 1)
-    lower_sums = [None] + [linear_combination(zip(rows[n][:n], polys)) for n in degrees]
     h_explicits = [None] + [h_polynomial_explicit(n, series_numbers, row=rows[n]) for n in degrees]
 
     return [
@@ -218,17 +231,76 @@ def verify_identities(max_degree: int) -> list[VerificationReport]:
             n_num,
             lambda n: (series_numbers[n], recursive_numbers[n]),
         ),
+    ]
+
+
+def classical_family_reports(max_degree: int) -> list[VerificationReport]:
+    """The Bernoulli layer's classical-family identities up to the given degree."""
+    _require_bound(max_degree, 3)
+    classical = _family(CLASSICAL, max_degree, max_degree)
+    sum_rule, value_at_one, lowering = _family_checks(classical)
+    return [
         _run(
             "classical-odd-numbers-vanish",
             3,
-            n_poly,
+            max_degree,
             lambda n: (classical.series_numbers[n], 0),
             step=2,
         ),
-        _run("classical-number-sum-vanishes", 2, n_poly, classical_sum_rule),
-        _run("classical-value-at-one", 2, n_poly, classical_value_at_one),
-        _run("classical-derivative-lowers-degree", 1, n_poly, classical_lowering),
+        _run("classical-number-sum-vanishes", 2, max_degree, sum_rule),
+        _run("classical-value-at-one", 2, max_degree, value_at_one),
+        _run("classical-derivative-lowers-degree", 1, max_degree, lowering),
     ]
+
+
+def _require_bound(max_degree: int, low: int) -> None:
+    if max_degree < low:
+        raise ValueError(f"max_degree must be at least {low}")
+
+
+def _lower_sums(family: Family) -> list:
+    """The sums over l < n of [n, l] B_l, at index n for n = 1..len(polys) - 1.
+
+    Where rows 0..n are the factorial ratios (each passes the ratio rule)
+    and B_0..B_(n-1) are Appell in them (coefficient i of B_l is
+    [l, i] B_(l-i)(0), and B_l has degree at most l), the identity
+    [n, l][l, i] = [n, i][n-i, l-i] makes coefficient i of the sum
+    [n, i] S_(n-i), with S_m the sum over j < m of [m, j] B_j(0): O(n)
+    products per n instead of O(n^2).  Both conditions are checked once,
+    in O(n^2) products; from the first n where either fails, the sum is
+    formed term by term, so it is exact for any rows and polynomials.
+    """
+    rows, polys, values = family.rows, family.polys, family.table.values
+    constants = [p.coefficient(0) for p in polys]
+
+    def appell(l):
+        p = polys[l]
+        return p.degree <= l and all(
+            _is_product(p.coefficient(i), rows[l][i], constants[l - i]) for i in range(l + 1)
+        )
+
+    top = len(polys) - 1
+    # the first n whose sum the factorization does not cover
+    factored = next(
+        (
+            n
+            for n in range(top + 1)
+            if ratio_rule_break(n, rows[n], values) is not None or (n and not appell(n - 1))
+        ),
+        top + 1,
+    )
+    s = [None] + [sum_of_products(zip(rows[m][:m], constants)) for m in range(1, factored)]
+    return [None] + [
+        Polynomial(rows[n][i] * s[n - i] for i in range(n))
+        if n < factored
+        else linear_combination(zip(rows[n][:n], polys))
+        for n in range(1, top + 1)
+    ]
+
+
+def _is_product(c: Fraction | int, r: int, b: Fraction | int) -> bool:
+    """Whether c = r b, cross-multiplied so that r b is never reduced."""
+    return c.numerator * b.denominator == r * b.numerator * c.denominator
 
 
 def _family_checks(family: Family) -> tuple[Callable, Callable, Callable]:
@@ -242,7 +314,8 @@ def _family_checks(family: Family) -> tuple[Callable, Callable, Callable]:
     values = family.table.values
     return (
         lambda n: (sum_of_products(zip(rows[n][:n], numbers)), 0),
-        lambda n: (polys[n](Fraction(1)), numbers[n]),
+        # the value at one is the sum of the coefficients, reduced once
+        lambda n: (sum_of_products((c, 1) for c in polys[n].coeffs), numbers[n]),
         lambda n: (lucas_derivative(polys[n], values), polys[n - 1] * values[n]),
     )
 
@@ -251,8 +324,7 @@ def core_property_reports(max_degree: int) -> list[VerificationReport]:
     """Fibonacci/Golden-calculus layer checks feeding the CLI verifier."""
     import random  # only the oracle check samples, so other commands skip this import
 
-    if max_degree < 2:
-        raise ValueError("max_degree must be at least 2")
+    _require_bound(max_degree, 2)
     n_binet = 8 * max_degree
     n_fibonomial = 2 * max_degree
     table = FibTable(n_binet)

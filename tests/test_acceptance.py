@@ -236,7 +236,8 @@ def test_criterion_8_cli_golden_files_and_exit_codes(monkeypatch, capsys):
     failing = VerificationReport(
         "synthetic-broken", 2, 2, (False,), Counterexample(2, "0", "1")
     )
-    monkeypatch.setattr(cli, "verify_identities", lambda n: [failing])
+    monkeypatch.setattr(cli, "fibonacci_family_reports", lambda n: [failing])
+    monkeypatch.setattr(cli, "classical_family_reports", lambda n: [])
     monkeypatch.setattr(cli, "core_property_reports", lambda n: [])
     exit_one = cli.main(["verify", "3"]) == 1
     out = capsys.readouterr().out

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from goldencalc import cli, fibonacci
-from goldencalc.bernoulli import bf_eval
+from goldencalc import cli, fibonacci, verify
+from goldencalc.bernoulli import CLASSICAL, FIBONACCI, bf_eval
 from goldencalc.rationals import format_rational, latex_rational
 from goldencalc.verify import Counterexample, VerificationReport
 
@@ -274,7 +274,8 @@ class TestExitCodes:
             statuses=(True, False),
             counterexample=Counterexample(3, "1/2", "1/3"),
         )
-        monkeypatch.setattr(cli, "verify_identities", lambda n: [failing])
+        monkeypatch.setattr(cli, "fibonacci_family_reports", lambda n: [failing])
+        monkeypatch.setattr(cli, "classical_family_reports", lambda n: [])
         monkeypatch.setattr(cli, "core_property_reports", lambda n: [])
         assert cli.main(["verify", "3", "--format", "plain"]) == 1
         out = capsys.readouterr().out
@@ -366,13 +367,14 @@ class TestWorker:
     """From FORK_MIN_ORDER on, one half of `verify` and of `numbers --method both`
     runs in a forked worker; its failures reach main as internal errors."""
 
-    # a command above the threshold, and the name of its worker half in cli
+    # a command above the threshold, and the name of a part of its worker half in cli
     FORKING = [
+        (["verify", "48"], "classical_family_reports"),
         (["verify", "48"], "core_property_reports"),
         (["numbers", "fib", "96", "--method", "both"], "bf_numbers_series"),
     ]
 
-    @pytest.mark.parametrize("argv, worker_half", FORKING, ids=["verify", "numbers"])
+    @pytest.mark.parametrize("argv, worker_half", FORKING, ids=["verify", "verify-core", "numbers"])
     def test_worker_exception_is_raised_again(self, argv, worker_half, monkeypatch, capsys):
         def broken(n):
             raise ValueError("boom")
@@ -386,9 +388,30 @@ class TestWorker:
         assert len(forks) == 1
         _assert_no_child_left()
 
+    @pytest.mark.parametrize(
+        "degree, here",
+        [(8, [CLASSICAL, FIBONACCI]), (48, [FIBONACCI])],
+        ids=["in-sequence", "forked"],
+    )
+    def test_the_worker_half_of_verify_is_the_classical_family(
+        self, degree, here, monkeypatch, tmp_path
+    ):
+        # only this process's builds are recorded; from 2N = 96 the classical one is forked away
+        built = []
+        family = verify._family
+        monkeypatch.setattr(
+            verify, "_family", lambda pair, *sizes: built.append(pair) or family(pair, *sizes)
+        )
+        forks = _counted_forks(monkeypatch)
+        target = tmp_path / "out"
+        assert cli.main(["verify", str(degree), "--out", str(target)]) == 0
+        assert built == here
+        assert len(forks) == (degree >= 48)
+        _assert_no_child_left()
+
     def test_a_worker_that_dies_is_one_line_and_exit_3(self, monkeypatch, capsys):
         monkeypatch.setattr(
-            cli, "core_property_reports", lambda n: os.kill(os.getpid(), signal.SIGKILL)
+            cli, "classical_family_reports", lambda n: os.kill(os.getpid(), signal.SIGKILL)
         )
         assert cli.main(["verify", "48"]) == 3
         captured = capsys.readouterr()
@@ -412,8 +435,8 @@ class TestWorker:
 
         forks = _counted_forks(monkeypatch)
         monkeypatch.setattr(os, "kill", recorded)
-        monkeypatch.setattr(cli, "core_property_reports", lambda n: time.sleep(60))
-        monkeypatch.setattr(cli, "verify_identities", broken)
+        monkeypatch.setattr(cli, "classical_family_reports", lambda n: time.sleep(60))
+        monkeypatch.setattr(cli, "fibonacci_family_reports", broken)
         start = time.perf_counter()
         assert cli.main(["verify", "48"]) == 3
         assert time.perf_counter() - start < 30
@@ -496,7 +519,7 @@ class TestWorker:
                 time.sleep(0.01)
             raise ValueError("boom")
 
-        cli.verify_identities = broken
+        cli.fibonacci_family_reports = broken
         """
         script = self.SIGCHLD_IGNORED.format(setup=setup)
         result = subprocess.run(

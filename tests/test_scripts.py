@@ -55,3 +55,18 @@ def test_bench_startup_runs():
         "goldencalc.cli yes",
     ]
     assert "goldencalc.cli" in lines[-1].split()
+
+
+def test_bench_verify_runs_paired_with_a_checkout():
+    checkout = str(SCRIPTS.parent)
+    result = run_script("bench_verify.py", "--sizes", "3", "4", "--runs", "1", "--against", checkout)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0].startswith("spare-core probe: ")
+    assert lines[1].split() == ["size", "side", "median_s", "iqr_s", "rss_mb", "exit", "won", "same"]
+    assert [line.split()[:2] for line in lines[2:6]] == [
+        ["3", "this"], ["3", "against"], ["4", "this"], ["4", "against"]
+    ]
+    exit_code, won, same = lines[2].split()[-3:]
+    assert (exit_code, same) == ("0", "yes") and won in ("0/1", "1/1")
+    assert lines[6].startswith("growth exponent 3-4: this ")

@@ -21,6 +21,7 @@ from goldencalc import (
 )
 from goldencalc import verify
 from goldencalc.bernoulli import CLASSICAL, FIBONACCI
+from goldencalc.polynomials import linear_combination
 from goldencalc.verify import Counterexample, VerificationReport, _run
 
 EXPECTED_IDENTITIES = {
@@ -76,14 +77,14 @@ def test_ranges_scale_with_bound():
     assert core["fibonomial-symmetry"].degree_max == 16
 
 
-def _skewed_rows(monkeypatch, module, family, n, k):
-    """Add 1 to the entry [n, k] of the rows of ``family``, a Lucas pair, that ``module`` reads."""
+def _skewed_rows(monkeypatch, module, family, n, *ks):
+    """Add 1 to each entry [n, k] of the rows of ``family``, a Lucas pair, that ``module`` reads."""
     rows = module.fibonomial_rows
 
     def skewed(table):
         for m, row in enumerate(rows(table)):
             hit = m == n and table.pair == family
-            yield row[:k] + (row[k] + 1,) + row[k + 1 :] if hit else row
+            yield tuple(v + (k in ks) for k, v in enumerate(row)) if hit else row
 
     monkeypatch.setattr(module, "fibonomial_rows", skewed)
 
@@ -187,6 +188,20 @@ def _fault_in_a_number(monkeypatch, name, family, index):
     monkeypatch.setattr(verify, name, faulty)
 
 
+def _fault_in_an_appell_coefficient(monkeypatch, family, n, i):
+    """Add 1/7 to the x^i coefficient of ``family``'s degree-n polynomial from ``verify._appell``."""
+    appell = verify._appell
+    row_n = tuple(fibonomial_rows(FibTable(n, *family)))[n]
+
+    def faulty(row, numbers):
+        polynomial = appell(row, numbers)
+        if tuple(row) != row_n:
+            return polynomial
+        return polynomial + Polynomial.monomial(i, Fraction(1, 7))
+
+    monkeypatch.setattr(verify, "_appell", faulty)
+
+
 # fault -> the exact set of Bernoulli-layer identities it turns red at N = 16
 BERNOULLI_FAULTS = [
     (
@@ -216,6 +231,25 @@ BERNOULLI_FAULTS = [
     (
         "Fibonacci row [5, 4] + 1",
         lambda mp: _skewed_rows(mp, verify, FIBONACCI, 5, 4),
+        FIBONACCI_FAMILY,
+    ),
+    # B^F_5 is no longer Appell in the rows: every lower sum from n = 6 on reads it
+    (
+        "B^F_5's x^2 coefficient + 1/7",
+        lambda mp: _fault_in_an_appell_coefficient(mp, FIBONACCI, 5, 2),
+        {
+            "polynomials-cross-method",
+            "golden-derivative-lowers-degree",
+            "fibonomial-sum-recursion",
+            "value-at-one-equals-number",
+            "h-polynomial-two-derivations",
+            "h-polynomial-closed-form",
+        },
+    ),
+    # row 6 stays symmetric, so of the row checks only the ratio rule rejects it
+    (
+        "Fibonacci row [6, 2] and [6, 4] + 1",
+        lambda mp: _skewed_rows(mp, verify, FIBONACCI, 6, 2, 4),
         FIBONACCI_FAMILY,
     ),
     (
@@ -438,6 +472,37 @@ def test_one_family_builder_serves_any_lucas_pair(pair):
     assert _run("sum rule", 2, 48, sum_rule).passed
     assert _run("value at one", 2, 24, value_at_one).passed
     assert _run("lowering derivative", 1, 24, lowering).passed
+
+
+def _direct_lower_sums(family):
+    """The sums over l < n of [n, l] B_l, each formed term by term."""
+    rows, polys = family.rows, family.polys
+    return [None] + [linear_combination(zip(rows[n][:n], polys)) for n in range(1, len(polys))]
+
+
+@pytest.mark.parametrize(
+    "pair", [FIBONACCI, (2, -1), (1, -2), (3, 2)], ids=["fibonacci", "pell", "jacobsthal", "3,2"]
+)
+def test_factored_lower_sums_equal_the_direct_sums(pair):
+    family = verify._family(pair, 48, 48)
+    assert verify._lower_sums(family) == _direct_lower_sums(family)
+
+
+def test_lower_sums_past_a_broken_factorization_are_the_direct_sums():
+    family = verify._family(FIBONACCI, 16, 16)
+    rows, polys = list(family.rows), list(family.polys)
+    # row 6 symmetric but not [6, .]; B^F_5 off by 1/7 at x^2; B^F_3 with an x^5 term
+    skewed = rows[:6] + [tuple(v + (k in (2, 4)) for k, v in enumerate(rows[6]))] + rows[7:]
+    off = polys[:5] + [polys[5] + Polynomial.monomial(2, Fraction(1, 7))] + polys[6:]
+    raised = polys[:3] + [polys[3] + Polynomial.monomial(5)] + polys[4:]
+    for faulted in (
+        family._replace(rows=tuple(skewed)),
+        family._replace(polys=off),
+        family._replace(polys=raised),
+    ):
+        lower_sums = verify._lower_sums(faulted)
+        assert lower_sums == _direct_lower_sums(faulted)
+        assert lower_sums != verify._lower_sums(family)
 
 
 def test_reports_are_deterministic():
